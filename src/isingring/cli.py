@@ -68,6 +68,7 @@ from .functionals import (
 from .randomness import RngStream
 from .spectra import (
     CSV_COLUMNS,
+    DEFAULT_BATCHES,
     ExperimentCell,
     evaluate_cell,
     result_row,
@@ -274,8 +275,28 @@ def _validate(config: RunConfig):
             raise UsageError("sweep covers the subcritical regime; use the spectra command at 'inf'")
         if not v["n_list"] or any(n < 2 for n in v["n_list"]):
             raise UsageError("--n-list needs one or more sizes, all >= 2")
-    if config.command == "hitting" and v["n"] > 62:
-        raise UsageError("hitting supports n <= 62 (uniform random initial states)")
+    if config.command in ("spectra", "sweep"):
+        if v["replicas"] < 1:
+            raise UsageError("need --replicas >= 1")
+        cells = [(n, n**3) for n in v["n_list"]] if config.command == "sweep" else [(v["n"], v["m"])]
+        largest = max(n for n, _ in cells)
+        if largest > 64:
+            raise UsageError(f"n={largest} exceeds 64: chain states are packed into 64-bit words")
+        if critical and largest > 63:
+            raise UsageError(f"n={largest} exceeds 63: the uniform start at 'inf' is drawn as a 64-bit signed integer")
+        min_m = 2 * DEFAULT_BATCHES
+        if not critical and any(m < min_m for _, m in cells):
+            raise UsageError(f"need m >= {min_m} at finite coupling, two states per batch for the {DEFAULT_BATCHES} "
+                             "batch means (sweep runs m = n^3, so every size must be >= 4)")
+    if config.command == "hitting":
+        if v["n"] > 62:
+            raise UsageError("hitting supports n <= 62 (uniform random initial states)")
+        if v["count"] < 1:
+            raise UsageError("need --count >= 1")
+    if config.command == "lsi-verify" and v["functions"] < 0:
+        raise UsageError("need --functions >= 0")
+    if config.command == "kernel-verify" and v["trials"] < 0:
+        raise UsageError("need --trials >= 0 (0 skips the empirical check)")
 
 
 def thread_count(config: RunConfig) -> int:

@@ -3,7 +3,8 @@ Poincare constants for the Wolff chain, inequality certification, and the
 closed-form ergodic-average error bounds.
 
 Functions on the configuration space are plain length-2^N float vectors in
-binary state order.
+binary state order. Single Dirichlet energies sum over the kernel's nonzero
+support (``TransitionKernel.support``), not over all 4^N state pairs.
 """
 
 from __future__ import annotations
@@ -31,12 +32,16 @@ def _as_vector(f, size: int) -> np.ndarray:
 
 
 def dirichlet_form(f, kernel: TransitionKernel, measure: GibbsMeasure) -> float:
-    """(1/2) sum_{x,y} (f(x)-f(y))^2 P(y,x) mu(y); zero exactly on constants."""
+    """(1/2) sum_{x,y} (f(x)-f(y))^2 P(y,x) mu(y) over the pairs with P(y,x) > 0.
+
+    Zero exactly on constants and never negative.
+    """
     if kernel.n != measure.n:
         raise ValueError("kernel and measure sizes differ")
     vec = _as_vector(f, kernel.size)
-    diffs = vec[None, :] - vec[:, None]
-    return float(0.5 * (measure.probabilities[:, None] * kernel.matrix * diffs**2).sum())
+    src, dst, prob = kernel.support
+    diffs = vec[dst] - vec[src]
+    return float(0.5 * (measure.probabilities[src] * prob * diffs**2).sum())
 
 
 def dirichlet_form_batch(fs: np.ndarray, kernel: TransitionKernel, measure: GibbsMeasure) -> np.ndarray:

@@ -12,7 +12,10 @@ scalar evaluations are provided (one from the edge boundary of A, one from
 the component decomposition case analysis) and must agree exactly.
 
 The kernel builder only visits the N(N-1)+1 connected arc masks per ring
-(all other columns are zero), vectorizing over source states.
+(all other columns are zero), vectorizing over source states. Each kernel
+also keeps a view of its nonzero entries (``TransitionKernel.support``);
+detailed balance and the Dirichlet form sum over that view rather than
+over all 4^N state pairs.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,19 +37,28 @@ from .model import (
     derived_constants,
 )
 from .clusters import FlipSet, RingGraph, decompose, edge_boundary, is_connected, vertex_boundary
+from .dynamics import GLAUBER, WOLFF, _truncated_geometric, _wolff_step_bits, glauber_step
 from .randomness import as_generator
-
-WOLFF = "wolff"
-GLAUBER = "glauber"
 
 
 @dataclass(frozen=True)
 class TransitionKernel:
-    """Dense row-stochastic matrix over the 2^N states in binary order."""
+    """Dense row-stochastic matrix over the 2^N states in binary order.
+
+    ``support`` is read from ``matrix`` once and kept on the kernel, so the
+    matrix must not be changed in place afterwards; build a new kernel from
+    a modified copy instead.
+    """
 
     params: ModelParams
     kind: str
     matrix: np.ndarray
+
+    @cached_property
+    def support(self) -> tuple:
+        """The nonzero entries as arrays (src, dst, prob), in row-major order."""
+        src, dst = np.nonzero(self.matrix)
+        return src, dst, self.matrix[src, dst]
 
     @property
     def n(self) -> int:
@@ -227,11 +240,16 @@ def build_glauber_kernel(params: ModelParams) -> TransitionKernel:
 
 
 def check_detailed_balance(kernel: TransitionKernel, measure: GibbsMeasure, tol: float = 1e-12) -> float:
-    """Max over state pairs of |mu(x)P(x,y) - mu(y)P(y,x)|; pass iff <= tol."""
+    """Max over state pairs of |mu(x)P(x,y) - mu(y)P(y,x)|; pass iff <= tol.
+
+    Pairs with P(x,y) = P(y,x) = 0 contribute zero, so the max runs over the
+    kernel's nonzero support only.
+    """
     if measure.n != kernel.n:
         raise ValueError("kernel and measure sizes differ")
-    flux = measure.probabilities[:, None] * kernel.matrix
-    return float(np.abs(flux - flux.T).max())
+    src, dst, prob = kernel.support
+    mu = measure.probabilities
+    return float(np.abs(mu[src] * prob - mu[dst] * kernel.matrix[dst, src]).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -334,8 +352,6 @@ def _one_step_counts_bulk(
     the outcomes match ``wolff_step_many``/``glauber_step_many`` draw for
     draw; the fixed start just lets the component extents be precomputed.
     """
-    from .dynamics import _truncated_geometric
-
     n = kernel.n
     size = kernel.size
     if kernel.kind == WOLFF:
@@ -382,8 +398,6 @@ def _one_step_counts_bulk(
 def _one_step_counts_stack(
     state_bits: int, kernel: TransitionKernel, trials: int, gen: np.random.Generator
 ) -> np.ndarray:
-    from .dynamics import _wolff_step_bits, glauber_step
-
     n = kernel.n
     counts = np.zeros(kernel.size, dtype=np.int64)
     if kernel.kind == WOLFF:
@@ -467,15 +481,27 @@ def write_matrix_dump(path, n: int, j_hat: float, matrix: np.ndarray):
 
 
 def read_matrix_dump(path):
-    """Inverse of write_matrix_dump; returns (n, j_hat, matrix)."""
+    """Inverse of write_matrix_dump; returns (n, j_hat, matrix).
+
+    Raises ValueError unless the payload is a square float64 matrix of side
+    n (a covariance dump) or 2^n (a kernel dump).
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _DUMP_MAGIC:
-            raise ValueError("not a kernel/matrix dump")
-        (n,) = struct.unpack("<q", fh.read(8))
-        (j_hat,) = struct.unpack("<d", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    side = int(round(np.sqrt(data.size)))
+        header = fh.read(20)
+        payload = fh.read()
+    if header[:4] != _DUMP_MAGIC:
+        raise ValueError("not a kernel/matrix dump")
+    if len(header) < 20:
+        raise ValueError("truncated dump header")
+    n, j_hat = struct.unpack("<qd", header[4:])
+    if len(payload) % 8:
+        raise ValueError(f"dump payload of {len(payload)} bytes is not a whole number of float64 entries")
+    data = np.frombuffer(payload, dtype="<f8")
+    side = math.isqrt(data.size)
+    if side * side != data.size:
+        raise ValueError(f"dump payload of {data.size} entries is not a square matrix")
+    if side != n and not (0 <= n < 64 and side == 1 << n):
+        raise ValueError(f"dump matrix side {side} is neither n={n} nor 2^n")
     return n, j_hat, data.reshape(side, side).copy()
 
 
@@ -490,13 +516,11 @@ def export_kernel_csv(kernel: TransitionKernel, path):
     state-bits renders site 1 first with '1' for spin +1.
     """
     n = kernel.n
+    src, dst, prob = kernel.support
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("state_index,state_bits,target_index,probability\n")
-        for s in range(kernel.size):
-            bits = format(s, f"0{n}b")[::-1]
-            row = kernel.matrix[s]
-            for t in np.nonzero(row)[0]:
-                fh.write(f"{s},{bits},{int(t)},{float(row[t])!r}\n")
+        for s, t, p in zip(src.tolist(), dst.tolist(), prob.tolist()):
+            fh.write(f"{s},{format(s, f'0{n}b')[::-1]},{t},{p!r}\n")
 
 
 def export_kernel_binary(kernel: TransitionKernel, path):

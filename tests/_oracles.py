@@ -1,11 +1,14 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here works on plain spin tuples with direct enumeration and no
-shared code with the package internals, so oracle agreement is meaningful.
+Everything here works on plain spin tuples or dense arrays with direct
+enumeration and no shared code with the package internals, so oracle
+agreement is meaningful.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 
 def all_spin_tuples(n):
@@ -119,3 +122,16 @@ def c_hat_direct(m, x):
 
 def geometric_sum_direct(m, x):
     return sum(x**k for k in range(1, m + 1))
+
+
+def dense_dirichlet_form(f, matrix, mu):
+    """(1/2) sum over all 4^N pairs (x, y) of (f(y)-f(x))^2 P(x,y) mu(x)."""
+    vec = np.asarray(f, dtype=np.float64)
+    diffs = vec[None, :] - vec[:, None]
+    return float(0.5 * (mu[:, None] * matrix * diffs**2).sum())
+
+
+def dense_detailed_balance(matrix, mu):
+    """max over all 4^N pairs of |mu(x)P(x,y) - mu(y)P(y,x)|."""
+    flux = mu[:, None] * matrix
+    return float(np.abs(flux - flux.T).max())

@@ -74,6 +74,35 @@ class TestExitCodes:
         assert main(["kernel-verify", "--n", "20", "--j-hat", "1"]) == 2
         assert "exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["spectra", "--n", "8", "--j-hat", "inf", "--m", "100", "--replicas", "0"],
+        ["sweep", "--j-hat", "0.5", "--n-list", "4", "--replicas", "0"],
+        ["hitting", "--n", "6", "--count", "-3"],
+        ["hitting", "--n", "6", "--count", "0"],
+        ["lsi-verify", "--n", "4", "--j-hat", "0.5", "--functions", "-1"],
+        ["kernel-verify", "--n", "4", "--j-hat", "0.5", "--trials", "-5"],
+        ["spectra", "--n", "65", "--j-hat", "0.5", "--m", "100"],
+        ["sweep", "--j-hat", "0.5", "--n-list", "8,65"],
+        ["spectra", "--n", "64", "--j-hat", "inf", "--m", "100"],
+        ["spectra", "--n", "8", "--j-hat", "0.5", "--m", "39"],
+        ["sweep", "--j-hat", "0.5", "--n-list", "3,8"],
+    ])
+    def test_invalid_input_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not any(tmp_path.iterdir())
+
+    def test_limits_of_the_new_checks_still_parse(self):
+        parse_config(["spectra", "--n", "64", "--j-hat", "0.5", "--m", "40"])
+        parse_config(["spectra", "--n", "63", "--j-hat", "inf", "--m", "5"])
+        parse_config(["sweep", "--j-hat", "0.5", "--n-list", "4,64"])
+        parse_config(["hitting", "--n", "6", "--count", "1"])
+        parse_config(["lsi-verify", "--n", "4", "--j-hat", "0.5", "--functions", "0"])
+        parse_config(["kernel-verify", "--n", "4", "--j-hat", "0.5", "--trials", "0"])
+
     def test_kernel_verify_passes(self, tmp_path, capsys):
         code = main(["kernel-verify", "--n", "4", "--j-hat", "1.0", "--out", str(tmp_path)])
         assert code == 0

@@ -61,6 +61,23 @@ class TestDirichletForm:
         for k in range(100):
             assert abs(batch[k] - dirichlet_form(fs[k], kernel, measure)) <= 1e-12 * max(1.0, abs(batch[k]))
 
+    @pytest.mark.parametrize("kind", ["wolff", "glauber"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_support_sum_matches_dense_oracle(self, n, kind):
+        build = build_wolff_kernel if kind == "wolff" else build_glauber_kernel
+        gen = np.random.default_rng(100 + n)
+        for j in (0.0, 0.25, 1.0, 2.5):
+            params = ModelParams(n, j)
+            kernel = build(params)
+            measure = gibbs_measure(params)
+            mu = measure.probabilities
+            assert dirichlet_form(np.full(kernel.size, -1.5), kernel, measure) == 0.0
+            for f in [character_function(n, [1]), *gen.standard_normal((5, kernel.size))]:
+                dense = oracle.dense_dirichlet_form(f, kernel.matrix, mu)
+                support = dirichlet_form(f, kernel, measure)
+                assert support >= 0.0
+                assert abs(support - dense) <= 1e-13 * dense
+
     def test_hypercube_normalization(self):
         # the zero-coupling Wolff Dirichlet form is the hypercube form
         n = 5
@@ -206,6 +223,19 @@ class TestCertification:
         assert certify_lsi(adv, kernel, measure).passed
         adv_p = ratio_ascent_adversary(kernel, measure, RngStream(31), target="poincare", restarts=15, sweeps=25)
         assert certify_poincare(adv_p, kernel, measure).passed
+
+    @pytest.mark.parametrize("target", ["lsi", "poincare"])
+    def test_adversary_path_unchanged_by_support_sum(self, setup_n6, monkeypatch, target):
+        # the search compares energies, so the support sum must steer it exactly
+        # as the dense double sum does
+        _, kernel, measure = setup_n6
+        support = ratio_ascent_adversary(kernel, measure, RngStream(33), target=target, restarts=15, sweeps=25)
+        monkeypatch.setattr(
+            "isingring.functionals.dirichlet_form",
+            lambda f, k, m: oracle.dense_dirichlet_form(f, k.matrix, m.probabilities),
+        )
+        dense = ratio_ascent_adversary(kernel, measure, RngStream(33), target=target, restarts=15, sweeps=25)
+        np.testing.assert_array_equal(support, dense)
 
     def test_sweep_all_pass_and_covers_families(self, setup_n6):
         params, kernel, measure = setup_n6

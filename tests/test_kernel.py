@@ -25,7 +25,7 @@ from isingring import (
     wolff_entry_from_boundary,
     wolff_entry_from_components,
 )
-from isingring.kernel import export_kernel_binary
+from isingring.kernel import export_kernel_binary, write_matrix_dump
 from isingring.randomness import RngStream
 
 import _oracles as oracle
@@ -250,8 +250,10 @@ class TestDetailedBalance:
     def test_wolff_and_glauber(self, n, j):
         p = ModelParams(n, j)
         mu = gibbs_measure(p)
-        assert check_detailed_balance(build_wolff_kernel(p), mu) <= 1e-12
-        assert check_detailed_balance(build_glauber_kernel(p), mu) <= 1e-12
+        for kernel in (build_wolff_kernel(p), build_glauber_kernel(p)):
+            violation = check_detailed_balance(kernel, mu)
+            assert violation <= 1e-12
+            assert violation == oracle.dense_detailed_balance(kernel.matrix, mu.probabilities)
 
     def test_negative_control(self):
         p = ModelParams(4, 0.5)
@@ -262,7 +264,9 @@ class TestDetailedBalance:
         from isingring import TransitionKernel
 
         bad = TransitionKernel(params=p, kind="wolff", matrix=doctored)
-        assert check_detailed_balance(bad, mu) > 1e-6
+        violation = check_detailed_balance(bad, mu)
+        assert violation > 1e-6
+        assert violation == oracle.dense_detailed_balance(doctored, mu.probabilities)
 
 
 class TestSpectralDecomposition:
@@ -418,6 +422,27 @@ class TestExports:
         n, j_hat, matrix = read_matrix_dump(path)
         assert n == 4 and j_hat == 0.75
         np.testing.assert_array_equal(matrix, kernel.matrix)
+
+    def test_covariance_round_trip(self, tmp_path):
+        # a covariance dump has side n, a kernel dump side 2^n
+        path = tmp_path / "cov.bin"
+        matrix = np.arange(25.0).reshape(5, 5)
+        write_matrix_dump(path, 5, float("inf"), matrix)
+        n, j_hat, back = read_matrix_dump(path)
+        assert n == 5 and j_hat == float("inf")
+        np.testing.assert_array_equal(back, matrix)
+
+    def test_malformed_dumps_are_named(self, tmp_path):
+        path = tmp_path / "kernel.bin"
+        export_kernel_binary(build_wolff_kernel(ModelParams(3, 0.5)), path)
+        data = path.read_bytes()
+        for cut, message in [(8, "not a square matrix"), (3, "whole number of float64"), (len(data) - 10, "truncated dump header")]:
+            path.write_bytes(data[:-cut])
+            with pytest.raises(ValueError, match=message):
+                read_matrix_dump(path)
+        write_matrix_dump(path, 5, 0.5, np.eye(4))
+        with pytest.raises(ValueError, match="neither n=5 nor 2\\^n"):
+            read_matrix_dump(path)
 
     def test_csv_layout(self, tmp_path):
         p = ModelParams(3, 0.5)
