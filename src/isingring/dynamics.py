@@ -2,7 +2,19 @@
 updates, chain runners, exact stationary sampling, and critical-point hitting
 times.
 
-Two implementations of the Wolff update coexist on purpose:
+Wolff updates come from one arc-law engine; the stack algorithm is kept only
+as the reference oracle:
+
+* On the ring a Wolff cluster is an arc, and the stack growth is equivalent
+  to truncated-geometric extensions right and left of a uniform seed:
+  extending by g sites within the seed's component has probability
+  bond_prob^g * bond_miss below the cap and bond_prob^cap at it. The law is
+  written once on bit-packed states: ``_wolff_arc_bits`` on Python ints (any
+  n) and its uint64 twin ``_arc_runs`` + ``_arc_flip_masks`` (n <= 64). RNG
+  consumption per step: one integer plus two uniforms, drawn in blocks of
+  seeds, then right uniforms, then left uniforms (``_arc_draws``). Chains
+  step through ``_chain_bits``; ``wolff_step_many`` and the kernel's bulk
+  one-step sampler draw one block per call and use the twin.
 
 * ``wolff_step`` is the reference stack algorithm: grow the cluster from a
   uniformly chosen seed, testing each ring bond at most once (visited-bond
@@ -11,15 +23,9 @@ Two implementations of the Wolff update coexist on purpose:
   for the seed, then one uniform per aligned bond tested, in that stack
   order; anti-aligned bonds are deterministic rejections and consume nothing.
 
-* ``wolff_step_many`` vectorizes the same transition law over many chains.
-  On the ring a cluster is an arc, and the stack growth is equivalent to
-  truncated-geometric extensions right and left of the seed: extending by g
-  sites within the seed's component has probability bond_prob^g * bond_miss
-  below the cap and bond_prob^cap at it. RNG consumption per chain and step:
-  one integer plus two uniforms. The law equals the reference sampler's
-  (both reproduce the exact transition kernel; see tests), but the two paths
-  consume randomness differently, so trajectories are only reproducible
-  within one path.
+Both realize the same transition law (both reproduce the exact transition
+kernel; see tests), but they consume randomness differently, so trajectories
+are only reproducible within one of them.
 """
 
 from __future__ import annotations
@@ -49,6 +55,9 @@ DEFAULT_STORAGE_BUDGET = 256 * 1024 * 1024
 #: Exact inverse-CDF stationary sampling is used up to this size; beyond it
 #: the sequential transfer-matrix sampler takes over (both are exact).
 INVERSE_CDF_SITE_LIMIT = 20
+
+#: Chains pre-draw the randomness of at most this many Wolff steps at once.
+CHAIN_DRAW_BLOCK = 4096
 
 
 def _wolff_step_bits(bits: int, n: int, bond_prob: float, gen: np.random.Generator) -> int:
@@ -94,16 +103,15 @@ def glauber_step(config: Configuration, params: ModelParams, rng) -> Configurati
     j_hat = params.require_finite("glauber_step")
     if config.n != params.n:
         raise ValueError("configuration and params sizes differ")
-    gen = as_generator(rng)
-    n = params.n
-    bits = config.bits
+    return Configuration(_glauber_step_bits(config.bits, params.n, j_hat, as_generator(rng)), params.n)
+
+
+def _glauber_step_bits(bits: int, n: int, j_hat: float, gen: np.random.Generator) -> int:
     i = int(gen.integers(n))
     s_i = 2 * ((bits >> i) & 1) - 1
     s_nb = (2 * ((bits >> ((i - 1) % n)) & 1) - 1) + (2 * ((bits >> ((i + 1) % n)) & 1) - 1)
     p_flip = math.exp(-j_hat * s_i * s_nb) / (math.exp(j_hat * s_nb) + math.exp(-j_hat * s_nb))
-    if gen.random() < p_flip:
-        bits ^= 1 << i
-    return Configuration(bits, n)
+    return bits ^ (1 << i) if gen.random() < p_flip else bits
 
 
 def _truncated_geometric(u: np.ndarray, bond_prob: float, n: int) -> np.ndarray:
@@ -117,29 +125,84 @@ def _truncated_geometric(u: np.ndarray, bond_prob: float, n: int) -> np.ndarray:
     return np.minimum(g, n).astype(np.int64)
 
 
+def _arc_draws(gen: np.random.Generator, count: int, n: int, bond_prob: float) -> tuple:
+    """One block of arc-law randomness: ``count`` seeds, then right, then left extensions."""
+    seeds = gen.integers(0, n, size=count)
+    g_right = _truncated_geometric(gen.random(count), bond_prob, n)
+    g_left = _truncated_geometric(gen.random(count), bond_prob, n)
+    return seeds, g_right, g_left
+
+
+def _wolff_arc_bits(bits: int, seed: int, g_right: int, g_left: int, n: int) -> int:
+    """The Wolff arc law on one bit-packed state, for any n.
+
+    Bond b joins sites b and b+1 (mod n). With the aligned-bond mask rotated
+    so bond ``seed`` sits at bit 0, the right run is its trailing ones and
+    the left run (bond seed-1 at bit n-1) its leading ones. The flipped arc
+    extends min(g_right, run_r, n-1) sites right of the seed and
+    min(g_left, run_l, n-1-ext_r) sites left of it.
+    """
+    full = (1 << n) - 1
+    aligned = ~(bits ^ ((bits >> 1) | ((bits & 1) << (n - 1)))) & full
+    rotated = ((aligned >> seed) | (aligned << (n - seed))) & full
+    run_r = (rotated & ~(rotated + 1)).bit_count()
+    run_l = n - (rotated ^ full).bit_length()
+    ext_r = min(g_right, run_r, n - 1)
+    ext_l = min(g_left, run_l, n - 1 - ext_r)
+    start = (seed - ext_l) % n
+    arc = (1 << (ext_l + ext_r + 1)) - 1
+    return bits ^ (((arc << start) | (arc >> (n - start))) & full)
+
+
+def _arc_runs(states: np.ndarray, seeds: np.ndarray, n: int) -> tuple:
+    """uint64 twin of the run lengths in ``_wolff_arc_bits`` (n <= 64)."""
+    one, full = np.uint64(1), np.uint64((1 << n) - 1)
+    s = np.asarray(states, dtype=np.uint64)
+    shift = np.asarray(seeds).astype(np.uint64)
+    aligned = ~(s ^ ((s >> one) | ((s & one) << np.uint64(n - 1)))) & full
+    rotated = ((aligned >> shift) | (aligned << (np.uint64(n) - shift))) & full
+    run_r = np.bitwise_count(rotated & ~(rotated + one))
+    smeared = rotated ^ full  # bit length by smearing the top bit downwards
+    for k in (1, 2, 4, 8, 16, 32):
+        smeared |= smeared >> np.uint64(k)
+    return run_r.astype(np.int64), n - np.bitwise_count(smeared).astype(np.int64)
+
+
+def _arc_flip_masks(seeds, g_right, g_left, run_r, run_l, n: int) -> np.ndarray:
+    """uint64 twin of the extents and the flipped arc in ``_wolff_arc_bits``.
+
+    Updates a few buffers in place: on trial-sized arrays, fresh temporaries
+    cost more in page faults than the arithmetic does.
+    """
+    one = np.uint64(1)
+    ext_r = np.minimum(g_right, run_r)
+    np.minimum(ext_r, n - 1, out=ext_r)
+    ext_l = np.minimum(g_left, run_l)
+    np.minimum(ext_l, n - 1 - ext_r, out=ext_l)
+    ext_r += ext_l + 1
+    arc = np.left_shift(one, ext_r.view(np.uint64), out=ext_r.view(np.uint64))
+    arc -= one  # ext_l + ext_r + 1 low bits
+    start = np.subtract(seeds, ext_l, out=ext_l)
+    start[start < 0] += n
+    start = start.view(np.uint64)
+    wrapped = np.right_shift(arc, np.uint64(n) - start)
+    arc <<= start
+    arc |= wrapped
+    arc &= np.uint64((1 << n) - 1)
+    return arc
+
+
 def wolff_step_many(spins: np.ndarray, params: ModelParams, gen: np.random.Generator) -> np.ndarray:
-    """One Wolff update applied independently to each row of a (chains, n) +-1 array."""
+    """One Wolff update applied independently to each row of a (chains, n) +-1 array, n <= 64."""
     c, n = spins.shape
     if n != params.n:
         raise ValueError("spin array and params sizes differ")
-    bond_prob = derived_constants(params).bond_prob
-    seeds = gen.integers(0, n, size=c)
-    g_right = _truncated_geometric(gen.random(c), bond_prob, n)
-    g_left = _truncated_geometric(gen.random(c), bond_prob, n)
-
-    aligned = spins == np.roll(spins, -1, axis=1)  # column b: bond (b, b+1 mod n)
-    offsets = np.arange(n)
-    idx_right = (seeds[:, None] + offsets) % n
-    run_right = np.cumprod(np.take_along_axis(aligned, idx_right, axis=1), axis=1).sum(axis=1)
-    idx_left = (seeds[:, None] - 1 - offsets) % n
-    run_left = np.cumprod(np.take_along_axis(aligned, idx_left, axis=1), axis=1).sum(axis=1)
-
-    ext_right = np.minimum(np.minimum(g_right, run_right), n - 1)
-    ext_left = np.minimum(np.minimum(g_left, run_left), n - 1 - ext_right)
-
-    rel = (offsets[None, :] - seeds[:, None]) % n
-    in_cluster = (rel <= ext_right[:, None]) | (rel >= (n - ext_left)[:, None])
-    return np.where(in_cluster, -spins, spins)
+    if n > 64:
+        raise ValueError(f"n={n} exceeds 64: the batched arc law packs states into 64-bit words")
+    seeds, g_right, g_left = _arc_draws(gen, c, n, derived_constants(params).bond_prob)
+    run_r, run_l = _arc_runs(encode_spins(spins), seeds, n)
+    flips = decode_states(_arc_flip_masks(seeds, g_right, g_left, run_r, run_l, n), n) > 0
+    return np.where(flips, -spins, spins)
 
 
 def glauber_step_many(spins: np.ndarray, params: ModelParams, gen: np.random.Generator) -> np.ndarray:
@@ -258,26 +321,40 @@ def encode_spins(spins: np.ndarray) -> np.ndarray:
     return ((spins > 0).astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
 
 
+def _chain_bits(bits: int, states: int, kind: str, params: ModelParams, gen: np.random.Generator) -> Iterator[int]:
+    """Yield ``states`` bit-packed chain states: ``bits`` itself, then one per step.
+
+    Wolff steps run the scalar arc law over blocks of at most
+    ``CHAIN_DRAW_BLOCK`` pre-drawn steps, cut at the steps remaining, so a
+    chain consumes exactly its own steps' draws. Glauber steps draw per step,
+    exactly as ``glauber_step`` does.
+    """
+    if kind not in (WOLFF, GLAUBER):
+        raise ValueError(f"unknown dynamics kind {kind!r}")
+    n = params.n
+    j_hat = params.require_finite("Glauber dynamics") if kind == GLAUBER else None
+    yield bits
+    if kind == GLAUBER:
+        for _ in range(states - 1):
+            bits = _glauber_step_bits(bits, n, j_hat, gen)
+            yield bits
+        return
+    bond_prob = derived_constants(params).bond_prob
+    for done in range(0, states - 1, CHAIN_DRAW_BLOCK):
+        draws = _arc_draws(gen, min(CHAIN_DRAW_BLOCK, states - 1 - done), n, bond_prob)
+        for seed, g_right, g_left in zip(*(d.tolist() for d in draws)):
+            bits = _wolff_arc_bits(bits, seed, g_right, g_left, n)
+            yield bits
+
+
 def iter_chain(initial: InitialLaw, steps: int, kind: str, params: ModelParams, rng) -> Iterator[Configuration]:
     """Stream Y_1..Y_steps one configuration at a time (constant memory)."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if kind not in (WOLFF, GLAUBER):
-        raise ValueError(f"unknown dynamics kind {kind!r}")
     gen = as_generator(rng)
-    current = initial.sample(params, gen)
-    yield current
-    if kind == WOLFF:
-        bond_prob = derived_constants(params).bond_prob
-        bits, n = current.bits, params.n
-        for _ in range(steps - 1):
-            bits = _wolff_step_bits(bits, n, bond_prob, gen)
-            yield Configuration(bits, n)
-    else:
-        current_cfg = current
-        for _ in range(steps - 1):
-            current_cfg = glauber_step(current_cfg, params, gen)
-            yield current_cfg
+    n = params.n
+    for bits in _chain_bits(initial.sample(params, gen).bits, steps, kind, params, gen):
+        yield Configuration(bits, n)
 
 
 def run_chain(
@@ -321,18 +398,14 @@ def hitting_time_aligned(initial: Configuration, rng) -> int:
     initial plus-component count + 1 (deterministic even though the path is
     random).
     """
-    gen = as_generator(rng)
-    params = ModelParams(initial.n, INFINITE)
-    bond_prob = derived_constants(params).bond_prob
-    bits, n = initial.bits, initial.n
+    n = initial.n
     full = (1 << n) - 1
-    k = 1
-    while bits != 0 and bits != full:
-        bits = _wolff_step_bits(bits, n, bond_prob, gen)
-        k += 1
-        if k > n + 2:  # cannot happen: at most n/2 merges are needed
-            raise RuntimeError("critical-point chain failed to align; sampler bug")
-    return k
+    chain = _chain_bits(initial.bits, n + 2, WOLFF, ModelParams(n, INFINITE), as_generator(rng))
+    for k, bits in enumerate(chain, start=1):
+        if bits == 0 or bits == full:
+            return k
+    # cannot happen: at most n/2 merges are needed
+    raise RuntimeError("critical-point chain failed to align; sampler bug")
 
 
 def sample_stationary(params: ModelParams, rng) -> Configuration:

@@ -37,7 +37,7 @@ from .model import (
     derived_constants,
 )
 from .clusters import FlipSet, RingGraph, decompose, edge_boundary, is_connected, vertex_boundary
-from .dynamics import GLAUBER, WOLFF, _truncated_geometric, _wolff_step_bits, glauber_step
+from .dynamics import GLAUBER, WOLFF, _arc_draws, _arc_flip_masks, _arc_runs, _wolff_step_bits, glauber_step
 from .randomness import as_generator
 
 
@@ -347,42 +347,20 @@ def _one_step_counts_bulk(
 ) -> np.ndarray:
     """Sample one step ``trials`` times from a fixed state, vectorized.
 
-    Uses the same truncated-geometric arc law and the same RNG consumption
-    order as the batch steppers (seed integers, then the uniform arrays), so
-    the outcomes match ``wolff_step_many``/``glauber_step_many`` draw for
-    draw; the fixed start just lets the component extents be precomputed.
+    Consumes randomness in the order of the batch steppers (a block of seed
+    integers, then the uniform arrays), so the outcomes match
+    ``wolff_step_many``/``glauber_step_many`` draw for draw. For Wolff the
+    arc law's run lengths depend only on the state and the seed, so they are
+    computed once per seed site and gathered per trial.
     """
     n = kernel.n
     size = kernel.size
     if kernel.kind == WOLFF:
-        c = derived_constants(kernel.params)
-        aligned = [((state_bits >> b) & 1) == ((state_bits >> ((b + 1) % n)) & 1) for b in range(n)]
-        run_r = np.zeros(n, dtype=np.int64)
-        run_l = np.zeros(n, dtype=np.int64)
-        for s in range(n):
-            r = 0
-            while r < n and aligned[(s + r) % n]:
-                r += 1
-            run_r[s] = r
-            l = 0
-            while l < n and aligned[(s - 1 - l) % n]:
-                l += 1
-            run_l[s] = l
-        arc_mask = np.zeros((n, n + 1), dtype=np.int64)
-        for s in range(n):
-            mask = 0
-            for length in range(1, n + 1):
-                mask |= 1 << ((s + length - 1) % n)
-                arc_mask[s, length] = mask
-        seeds = gen.integers(0, n, size=trials)
-        g_right = _truncated_geometric(gen.random(trials), c.bond_prob, n)
-        g_left = _truncated_geometric(gen.random(trials), c.bond_prob, n)
-        ext_r = np.minimum(np.minimum(g_right, run_r[seeds]), n - 1)
-        ext_l = np.minimum(np.minimum(g_left, run_l[seeds]), n - 1 - ext_r)
-        starts = (seeds - ext_l) % n
-        lengths = ext_l + ext_r + 1
-        targets = state_bits ^ arc_mask[starts, lengths]
-        return np.bincount(targets, minlength=size)
+        seeds, g_right, g_left = _arc_draws(gen, trials, n, derived_constants(kernel.params).bond_prob)
+        run_r, run_l = _arc_runs(np.full(n, state_bits, dtype=np.uint64), np.arange(n), n)
+        masks = _arc_flip_masks(seeds, g_right, g_left, run_r[seeds], run_l[seeds], n)
+        masks ^= np.uint64(state_bits)
+        return np.bincount(masks.view(np.int64), minlength=size)
     flip_prob = np.array(
         [
             glauber_flip_probability(Configuration(state_bits, n), b + 1, kernel.params)

@@ -27,18 +27,19 @@ from .model import (
 )
 from .clusters import decompose
 from .dynamics import (
-    GLAUBER,
     WOLFF,
     Trajectory,
+    _chain_bits,
     decode_states,
-    glauber_step,
     sample_stationary,
-    _wolff_step_bits,
 )
 from .functionals import lsi_constant_bound
 from .randomness import RngStream, as_generator
 
 DEFAULT_BATCHES = 20
+
+#: Covariance runs decode and accumulate at most this many states at once.
+ACCUMULATE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -218,24 +219,12 @@ class CovarianceRun:
         return self.batch_matrices.std(axis=0, ddof=1) / math.sqrt(k)
 
 
-def _hypercube_states(n: int, m: int, start_bits: int, gen: np.random.Generator) -> np.ndarray:
-    """Exact Wolff chain at j_hat = 0: one uniform site flips per step,
-    generated as a cumulative XOR (same law as the stack sampler)."""
-    flips = np.uint64(1) << gen.integers(0, n, size=m - 1).astype(np.uint64)
-    states = np.empty(m, dtype=np.uint64)
-    states[0] = start_bits
-    states[1:] = flips
-    return np.bitwise_xor.accumulate(states)
-
-
 def run_covariance_chain(
     params: ModelParams,
     m: int,
     kind: str,
     rng,
     initial: Optional[Configuration] = None,
-    batches: int = DEFAULT_BATCHES,
-    block: int = 8192,
 ) -> CovarianceRun:
     """Drive one chain for m states and stream-accumulate its covariance.
 
@@ -250,67 +239,20 @@ def run_covariance_chain(
         else:
             initial = sample_stationary(params, gen)
 
-    boundaries = np.linspace(0, m, batches + 1, dtype=np.int64)
-    batch_accums = [CovarianceAccumulator(n) for _ in range(batches)]
-
-    dec0 = None
+    boundaries = np.linspace(0, m, DEFAULT_BATCHES + 1, dtype=np.int64).tolist()
+    batch_accums = [CovarianceAccumulator(n) for _ in range(DEFAULT_BATCHES)]
+    dec0 = decompose(initial).plus_count if params.is_critical else None
     hit_index = None
-    if params.is_critical:
-        dec0 = decompose(initial).plus_count
-        if initial.is_aligned:
-            hit_index = 1
-
-    if kind == WOLFF and not params.is_critical and float(params.j_hat) == 0.0:
-        states = _hypercube_states(n, m, initial.bits, gen)
-        for b in range(batches):
-            seg = states[boundaries[b] : boundaries[b + 1]]
-            batch_accums[b].add_spins(decode_states(seg, n))
-    else:
-        bond_prob = derived_constants(params).bond_prob
-        bits = initial.bits
-        buf = np.empty(block, dtype=np.uint64)
-        filled = 0
-        produced = 0
-
-        def flush():
-            nonlocal filled
-            if filled == 0:
-                return
-            seg = buf[:filled]
-            start = produced - filled
-            lo = 0
-            while lo < filled:
-                b = np.searchsorted(boundaries, start + lo, side="right") - 1
-                hi = min(filled, int(boundaries[b + 1] - start))
-                batch_accums[b].add_spins(decode_states(seg[lo:hi], n))
-                lo = hi
-            filled = 0
-
-        if kind == WOLFF:
-            full = (1 << n) - 1
-            for k in range(m):
-                if k > 0:
-                    bits = _wolff_step_bits(bits, n, bond_prob, gen)
-                if params.is_critical and hit_index is None and (bits == 0 or bits == full):
-                    hit_index = k + 1
-                buf[filled] = bits
-                filled += 1
-                produced += 1
-                if filled == block:
-                    flush()
-        elif kind == GLAUBER:
-            cfg = initial
-            for k in range(m):
-                if k > 0:
-                    cfg = glauber_step(cfg, params, gen)
-                buf[filled] = cfg.bits
-                filled += 1
-                produced += 1
-                if filled == block:
-                    flush()
-        else:
-            raise ValueError(f"unknown dynamics kind {kind!r}")
-        flush()
+    full = (1 << n) - 1
+    states = _chain_bits(initial.bits, m, kind, params, gen)
+    for b, acc in enumerate(batch_accums):
+        for lo in range(boundaries[b], boundaries[b + 1], ACCUMULATE_BLOCK):
+            seg = np.fromiter(states, dtype=np.uint64, count=min(ACCUMULATE_BLOCK, boundaries[b + 1] - lo))
+            if params.is_critical and hit_index is None:
+                hits = np.flatnonzero((seg == 0) | (seg == full))
+                if hits.size:
+                    hit_index = lo + int(hits[0]) + 1
+            acc.add_spins(decode_states(seg, n))
 
     total = CovarianceAccumulator(n)
     for acc in batch_accums:

@@ -135,3 +135,37 @@ def dense_detailed_balance(matrix, mu):
     """max over all 4^N pairs of |mu(x)P(x,y) - mu(y)P(y,x)|."""
     flux = mu[:, None] * matrix
     return float(np.abs(flux - flux.T).max())
+
+
+def roll_cumprod_wolff_step_many(spins, bond_prob, gen):
+    """One arc-law Wolff step per row of a (chains, n) +-1 array, on spin arrays.
+
+    Draws the seeds, then the right and then the left truncated-geometric
+    extensions as blocks of ``chains`` values each; the aligned runs right
+    and left of each seed come from cumulative products of the rolled
+    aligned-bond indicators (column b: bond (b, b+1 mod n)).
+    """
+    c, n = spins.shape
+    seeds = gen.integers(0, n, size=c)
+
+    def extensions(u):
+        if bond_prob <= 0.0:
+            return np.zeros(c, dtype=np.int64)
+        if bond_prob >= 1.0:
+            return np.full(c, n, dtype=np.int64)
+        with np.errstate(divide="ignore"):
+            return np.minimum(np.floor(np.log(u) / math.log(bond_prob)), n).astype(np.int64)
+
+    g_right = extensions(gen.random(c))
+    g_left = extensions(gen.random(c))
+    aligned = spins == np.roll(spins, -1, axis=1)
+    offsets = np.arange(n)
+    idx_right = (seeds[:, None] + offsets) % n
+    run_right = np.cumprod(np.take_along_axis(aligned, idx_right, axis=1), axis=1).sum(axis=1)
+    idx_left = (seeds[:, None] - 1 - offsets) % n
+    run_left = np.cumprod(np.take_along_axis(aligned, idx_left, axis=1), axis=1).sum(axis=1)
+    ext_right = np.minimum(np.minimum(g_right, run_right), n - 1)
+    ext_left = np.minimum(np.minimum(g_left, run_left), n - 1 - ext_right)
+    rel = (offsets[None, :] - seeds[:, None]) % n
+    in_cluster = (rel <= ext_right[:, None]) | (rel >= (n - ext_left)[:, None])
+    return np.where(in_cluster, -spins, spins)

@@ -15,6 +15,7 @@ from isingring import (
     RngStream,
     decompose,
     decode_states,
+    derived_constants,
     encode_spins,
     ergodic_average,
     gibbs_measure,
@@ -29,7 +30,10 @@ from isingring import (
     wolff_step,
     wolff_step_many,
 )
+from isingring.dynamics import CHAIN_DRAW_BLOCK, _arc_draws, _chain_bits, _wolff_arc_bits
 from isingring.functionals import lsi_constant_bound
+
+import _oracles as oracle
 
 
 class TestWolffStep:
@@ -299,6 +303,45 @@ class TestBatchSteppers:
                 counts += np.bincount(encode_spins(spins).astype(np.int64), minlength=32)
         tv = 0.5 * np.abs(counts / counts.sum() - mu).sum()
         assert tv < 0.01
+
+
+@pytest.mark.parametrize("j", [0.0, 0.3, 1.0, 3.0, INFINITE])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 31, 32, 33, 63, 64, 100])
+def test_arc_law_forms_agree_draw_for_draw(n, j):
+    # scalar arc law, its uint64 twin (n <= 64) and the roll/cumprod oracle,
+    # fed the same draws, from both aligned states, every one-arc state
+    # (long runs on both sides of most seeds) and random states
+    params = ModelParams(n, j)
+    bond_prob = derived_constants(params).bond_prob
+    full = (1 << n) - 1
+    gen = RngStream(30, n).generator()
+    states = [0, full] + [(1 << k) - 1 for k in range(1, n)]
+    states += [int.from_bytes(gen.bytes(8 + n // 8), "little") & full for _ in range(256 - len(states))]
+    spins = np.array([Configuration(b, n).spins() for b in states], dtype=np.int8)
+    for step in range(4):
+        expected = oracle.roll_cumprod_wolff_step_many(spins, bond_prob, RngStream(31, step).generator())
+        draws = _arc_draws(RngStream(31, step).generator(), len(states), n, bond_prob)
+        states = [_wolff_arc_bits(b, *d, n) for b, *d in zip(states, *(x.tolist() for x in draws))]
+        assert states == [Configuration.from_spins(row.tolist()).bits for row in expected]
+        if n <= 64:
+            assert np.array_equal(wolff_step_many(spins, params, RngStream(31, step).generator()), expected)
+        spins = expected
+
+
+def test_chain_draw_blocks_are_cut_at_the_steps_remaining():
+    # a chain of k states draws k-1 steps: full blocks, then one cut block
+    n = 12
+    params = ModelParams(n, 0.7)
+    gen = RngStream(32).generator()
+    chain = list(_chain_bits(5, CHAIN_DRAW_BLOCK + 10, WOLFF, params, gen))
+    ref = RngStream(32).generator()
+    bits, expected = 5, [5]
+    for count in (CHAIN_DRAW_BLOCK, 9):
+        for draws in zip(*(x.tolist() for x in _arc_draws(ref, count, n, derived_constants(params).bond_prob))):
+            bits = _wolff_arc_bits(bits, *draws, n)
+            expected.append(bits)
+    assert chain == expected
+    assert gen.random() == ref.random()  # nothing drawn beyond the chain's own steps
 
 
 @pytest.mark.parametrize("kind", [WOLFF, GLAUBER])

@@ -212,14 +212,6 @@ class TestBounds:
 
 
 class TestCovarianceRuns:
-    def test_hypercube_fast_path_matches_generic_law(self):
-        # j = 0 runs use the XOR fast path; statistics must match the generic path
-        params = ModelParams(6, 0.0)
-        fast = run_covariance_chain(params, 40000, WOLFF, RngStream(9))
-        slow = run_covariance_chain(ModelParams(6, 1e-12), 40000, WOLFF, RngStream(9))
-        assert abs(fast.norm1 - slow.norm1) < 0.05
-        np.testing.assert_allclose(fast.matrix, slow.matrix, atol=0.05)
-
     def test_glauber_runs_too(self):
         params = ModelParams(5, 0.4)
         run = run_covariance_chain(params, 5000, GLAUBER, RngStream(10))
