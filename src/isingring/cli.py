@@ -333,6 +333,23 @@ def _j_label(j) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _run_cells(units, config: RunConfig) -> list:
+    """Run one Wolff covariance chain per ``(cell, seed, stream)`` unit on the worker pool.
+
+    Each unit owns ``RngStream(seed, stream)``; the ``(CellResult, CovarianceRun)``
+    pairs come back in unit order, whatever the pool's schedule.
+    """
+
+    def one(unit):
+        cell, seed, stream = unit
+        params = ModelParams(cell.n, cell.j_hat)
+        run = run_covariance_chain(params, cell.m, WOLFF, RngStream(seed, stream))
+        return evaluate_cell(cell, run, seed, lambda1_tol=config.lambda1_tol), run
+
+    with ThreadPoolExecutor(max_workers=thread_count(config)) as pool:
+        return list(pool.map(one, units))
+
+
 def _cmd_simulate(config: RunConfig) -> int:
     params = ModelParams(config.n, config.j_hat)
     law = {
@@ -454,17 +471,8 @@ def _cmd_lsi_verify(config: RunConfig) -> int:
 
 def _cmd_spectra(config: RunConfig) -> int:
     cell = ExperimentCell(n=config.n, j_hat=config.j_hat, m=config.m)
-    seeds = [config.seed + r for r in range(config.replicas)]
-    workers = thread_count(config)
-
-    def one(item):
-        idx, seed = item
-        params = ModelParams(cell.n, cell.j_hat)
-        run = run_covariance_chain(params, cell.m, WOLFF, RngStream(seed, idx))
-        return evaluate_cell(cell, run, seed, lambda1_tol=config.lambda1_tol), run
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(one, enumerate(seeds)))
+    units = [(cell, config.seed + r, r) for r in range(config.replicas)]
+    outcomes = _run_cells(units, config)
     results = [res for res, _ in outcomes]
     rows = [result_row(r) for r in results]
     write_csv(os.path.join(config.out, "spectra.csv"), CSV_COLUMNS, rows, config)
@@ -502,18 +510,9 @@ def _cmd_sweep(config: RunConfig) -> int:
     up to batch-error bars and below the closed-form double-limit bound."""
     j = config.j_hat
     seeds = [config.seed + r for r in range(config.replicas)]
-    workers = thread_count(config)
     units = [(ExperimentCell(n=n, j_hat=j, m=n**3), seed, idx)
              for idx, (n, seed) in enumerate((n, s) for n in config.n_list for s in seeds)]
-
-    def one(unit):
-        cell, seed, idx = unit
-        params = ModelParams(cell.n, cell.j_hat)
-        run = run_covariance_chain(params, cell.m, WOLFF, RngStream(seed, idx))
-        return evaluate_cell(cell, run, seed, lambda1_tol=config.lambda1_tol), run
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(one, units))
+    outcomes = _run_cells(units, config)
     results = [res for res, _ in outcomes]
     runs = [r for _, r in outcomes]
     rows = [result_row(r) for r in results]

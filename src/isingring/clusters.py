@@ -1,9 +1,16 @@
-"""Combinatorics of spin configurations on the ring.
+"""Combinatorics of spin configurations on the ring, on integer bitmasks.
 
-Aligned/frustrated bond sets, connected components of the +1 and -1 site
-sets, and edge/vertex boundaries of site subsets. Bonds are canonically
-oriented pairs (i, i mod n + 1) for i = 1..n; at n=2 this yields the two
-distinct bonds (1,2) and (2,1) of the doubled-edge ring.
+Two encodings are used, both on a ring of n sites:
+
+- a site mask has bit b set for site b+1, as in ``Configuration.bits``;
+- a bond mask has bit b set for the bond (b+1, b+2 mod n) between site b+1
+  and its right neighbour. At n=2 the bits are the two distinct bonds (1,2)
+  and (2,1) of the doubled-edge ring.
+
+With rot(A) the site mask rotated so that bit b reads site b+2, the bond
+mask A ^ rot(A) holds the bonds with exactly one endpoint in A. Aligned and
+frustrated bonds, connected components of the +1 and -1 site sets, and
+edge/vertex boundaries of site subsets are all computed this way.
 """
 
 from __future__ import annotations
@@ -13,27 +20,10 @@ from typing import Iterable
 
 from .model import Configuration, _rotated_bits
 
-Bond = tuple
 
-
-def ring_bond(i: int, n: int) -> Bond:
-    """Canonical bond with lower endpoint i (1-based); wraps as (n, 1)."""
-    return (i, i % n + 1)
-
-
-@dataclass(frozen=True)
-class RingGraph:
-    """The cycle graph on sites 1..n (a doubled edge pair when n=2)."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("ring graph needs n >= 2")
-
-    @property
-    def edges(self) -> tuple:
-        return tuple(ring_bond(i, self.n) for i in range(1, self.n + 1))
+def _rotated_left(bits: int, n: int) -> int:
+    """Bit b of the result is bit (b-1) mod n of the input."""
+    return ((bits << 1) | (bits >> (n - 1))) & ((1 << n) - 1)
 
 
 @dataclass(frozen=True)
@@ -58,13 +48,12 @@ class FlipSet:
 
     @classmethod
     def arc(cls, start: int, length: int, n: int) -> "FlipSet":
-        """Arc of ``length`` consecutive sites beginning at 1-based ``start``."""
+        """Arc of ``length`` consecutive sites beginning at 1-based ``start`` (taken mod n)."""
         if not 1 <= length <= n:
             raise ValueError(f"arc length {length} out of range 1..{n}")
-        mask = 0
-        for k in range(length):
-            mask |= 1 << ((start - 1 + k) % n)
-        return cls(mask, n)
+        shift = (start - 1) % n
+        run = (1 << length) - 1
+        return cls(((run << shift) | (run >> (n - shift))) & ((1 << n) - 1), n)
 
     @property
     def sites(self) -> tuple:
@@ -76,68 +65,46 @@ class FlipSet:
 
     def arc_witness(self):
         """(start, length) when the set is a connected arc; (1, n) for the full ring; None otherwise."""
-        if self.mask == 0:
-            return None
-        full = (1 << self.n) - 1
-        if self.mask == full:
+        if self.mask == (1 << self.n) - 1:
             return (1, self.n)
-        boundary = self.mask ^ _rotated_bits(self.mask, self.n)
-        if boundary.bit_count() != 2:
+        if not is_connected(self):
             return None
-        # start = the member site whose predecessor is outside
-        for b in range(self.n):
-            prev = (b - 1) % self.n
-            if (self.mask >> b) & 1 and not (self.mask >> prev) & 1:
-                return (b + 1, self.size)
-        return None
+        # the start is the one member site whose predecessor is outside
+        start = self.mask & ~_rotated_left(self.mask, self.n)
+        return (start.bit_length(), self.size)
 
 
-def is_connected(flipset: FlipSet, graph: RingGraph) -> bool:
+def is_connected(flipset: FlipSet) -> bool:
     """True iff the set induces a connected subgraph: a nonempty arc or the full ring."""
-    if flipset.n != graph.n:
-        raise ValueError("flip set and graph sizes differ")
-    return flipset.mask != 0 and flipset.arc_witness() is not None
+    mask, n = flipset.mask, flipset.n
+    return mask == (1 << n) - 1 or edge_boundary(flipset).bit_count() == 2
 
 
-def edge_boundary(flipset: FlipSet, graph: RingGraph) -> frozenset:
-    """Ring bonds with exactly one endpoint in the set."""
-    if flipset.n != graph.n:
-        raise ValueError("flip set and graph sizes differ")
-    n = graph.n
-    cut = flipset.mask ^ _rotated_bits(flipset.mask, n)
-    return frozenset(ring_bond(b + 1, n) for b in range(n) if (cut >> b) & 1)
+def edge_boundary(flipset: FlipSet) -> int:
+    """Bond mask of the ring bonds with exactly one endpoint in the set."""
+    return flipset.mask ^ _rotated_bits(flipset.mask, flipset.n)
 
 
-def vertex_boundary(flipset: FlipSet, graph: RingGraph) -> frozenset:
-    """Member sites with at least one ring neighbor outside the set."""
-    if flipset.n != graph.n:
-        raise ValueError("flip set and graph sizes differ")
-    n = graph.n
-    out = []
-    for b in range(n):
-        if not (flipset.mask >> b) & 1:
-            continue
-        nxt = (b + 1) % n
-        prv = (b - 1) % n
-        if not (flipset.mask >> nxt) & 1 or not (flipset.mask >> prv) & 1:
-            out.append(b + 1)
-    return frozenset(out)
+def vertex_boundary(flipset: FlipSet) -> int:
+    """Site mask of the member sites with at least one ring neighbor outside the set."""
+    mask, n = flipset.mask, flipset.n
+    return mask & ~(_rotated_bits(mask, n) & _rotated_left(mask, n))
 
 
 @dataclass(frozen=True)
 class ClusterDecomposition:
     """Connected components of the +1 and -1 site sets of one configuration.
 
-    Components are site tuples in arc order (wrapping the seam where needed)
-    and are listed sorted by their smallest site label, which fixes the
-    component indices used in tests.
+    Components are site masks listed by their lowest site, which fixes the
+    component indices used in tests; the aligned and frustrated bonds are
+    bond masks.
     """
 
     n: int
     plus_components: tuple
     minus_components: tuple
-    aligned_bonds: frozenset
-    frustrated_bonds: frozenset
+    aligned_bonds: int
+    frustrated_bonds: int
 
     @property
     def plus_count(self) -> int:
@@ -148,7 +115,7 @@ class ClusterDecomposition:
         return len(self.minus_components)
 
     def components(self) -> tuple:
-        """All components, plus first, each sorted by smallest site."""
+        """All components, plus first, each listed by lowest site."""
         return self.plus_components + self.minus_components
 
 
@@ -156,29 +123,22 @@ def decompose(config: Configuration) -> ClusterDecomposition:
     """Maximal-arc decomposition of a configuration into aligned components."""
     n = config.n
     bits = config.bits
-    cut = bits ^ _rotated_bits(bits, n)  # bit b set iff bond (b+1, b+2) is frustrated
-    frustrated = frozenset(ring_bond(b + 1, n) for b in range(n) if (cut >> b) & 1)
-    aligned = frozenset(ring_bond(b + 1, n) for b in range(n) if not (cut >> b) & 1)
-
+    full = (1 << n) - 1
+    cut = bits ^ _rotated_bits(bits, n)  # bond mask of the frustrated bonds
     if cut == 0:
-        sites = tuple(range(1, n + 1))
-        if (bits & 1) == 1:
-            return ClusterDecomposition(n, (sites,), (), aligned, frustrated)
-        return ClusterDecomposition(n, (), (sites,), aligned, frustrated)
-
-    # Each frustrated bond (b+1, b+2) ends a component at site b+1; the next
-    # component starts at site b+2. Walk the ring between consecutive cuts.
-    cut_positions = [b for b in range(n) if (cut >> b) & 1]
-    plus, minus = [], []
-    for k, b in enumerate(cut_positions):
-        start = (b + 1) % n  # 0-based start site of the component after this cut
-        nxt = cut_positions[(k + 1) % len(cut_positions)]
-        length = (nxt - start) % n + 1
-        sites = tuple((start + t) % n + 1 for t in range(length))
-        if (bits >> start) & 1:
-            plus.append(sites)
-        else:
-            minus.append(sites)
-    plus.sort(key=min)
-    minus.sort(key=min)
-    return ClusterDecomposition(n, tuple(plus), tuple(minus), aligned, frustrated)
+        comps = [full]
+    else:
+        # Each frustrated bond (b+1, b+2) ends a component at site b+1. With
+        # below(b) the sites 1..b+1, the component after the last cut wraps
+        # the seam and holds site 1; the others follow in ring order.
+        below = []
+        rest = cut
+        while rest:
+            low = rest & -rest
+            below.append((low << 1) - 1)
+            rest ^= low
+        comps = [(full ^ below[-1]) | below[0]]
+        comps += [hi ^ lo for lo, hi in zip(below, below[1:])]
+    plus = tuple(c for c in comps if bits & c)
+    minus = tuple(c for c in comps if not bits & c)
+    return ClusterDecomposition(n, plus, minus, full ^ cut, cut)

@@ -11,6 +11,12 @@ flip out of an aligned state; everything else is zero. Two independent
 scalar evaluations are provided (one from the edge boundary of A, one from
 the component decomposition case analysis) and must agree exactly.
 
+Both work on the integer masks of ``clusters``: a site mask has bit b for
+site b+1 (so A is ``FlipSet.mask``), and a bond mask has bit b for the bond
+(b+1, b+2 mod N). The boundary form counts popcount(edge_boundary(A) &
+aligned_bonds); the component form finds the component C with A & ~C == 0
+and reads how many sites of C's vertex boundary A holds.
+
 The kernel builder only visits the N(N-1)+1 connected arc masks per ring
 (all other columns are zero), vectorizing over source states. Each kernel
 also keeps a view of its nonzero entries (``TransitionKernel.support``);
@@ -36,7 +42,7 @@ from .model import (
     _popcount_array,
     derived_constants,
 )
-from .clusters import FlipSet, RingGraph, decompose, edge_boundary, is_connected, vertex_boundary
+from .clusters import FlipSet, decompose, edge_boundary, is_connected, vertex_boundary
 from .dynamics import GLAUBER, WOLFF, _arc_draws, _arc_flip_masks, _arc_runs, _wolff_step_bits, glauber_step
 from .randomness import as_generator
 
@@ -77,22 +83,22 @@ def _check_kernel_size(n: int):
         raise ResourceLimitError(f"dense kernel needs 4^{n} entries; cap is n <= {KERNEL_SITE_LIMIT}")
 
 
-def _aligned_in(config: Configuration, mask: int) -> bool:
-    """True iff every site of the mask carries the same spin in config."""
-    inter = config.bits & mask
-    return inter == 0 or inter == mask
+def _wolff_support(config: Configuration, flipset: FlipSet, params: ModelParams) -> bool:
+    """True iff the flip set can carry Wolff mass: connected and spin-aligned in config.
 
-
-def wolff_entry_from_boundary(config: Configuration, flipset: FlipSet, params: ModelParams) -> float:
-    """Wolff transition probability via the edge-boundary form."""
+    Raises ValueError for an empty flip set or mismatched sizes.
+    """
     if flipset.mask == 0:
         raise ValueError("flip set must be nonempty")
     if config.n != flipset.n or config.n != params.n:
         raise ValueError("sizes of configuration, flip set and params differ")
-    graph = RingGraph(params.n)
-    if not is_connected(flipset, graph):
-        return 0.0
-    if not _aligned_in(config, flipset.mask):
+    inter = config.bits & flipset.mask
+    return is_connected(flipset) and (inter == 0 or inter == flipset.mask)
+
+
+def wolff_entry_from_boundary(config: Configuration, flipset: FlipSet, params: ModelParams) -> float:
+    """Wolff transition probability via the edge-boundary form."""
+    if not _wolff_support(config, flipset, params):
         return 0.0
     c = derived_constants(params)
     n = params.n
@@ -101,21 +107,13 @@ def wolff_entry_from_boundary(config: Configuration, flipset: FlipSet, params: M
         if not config.is_aligned:
             return 0.0
         return (n * c.bond_miss + c.bond_prob) * c.bond_prob ** (n - 1)
-    dec = decompose(config)
-    misses = len(edge_boundary(flipset, graph) & dec.aligned_bonds)
+    misses = (edge_boundary(flipset) & decompose(config).aligned_bonds).bit_count()
     return (m / n) * c.bond_prob ** (m - 1) * c.bond_miss**misses
 
 
 def wolff_entry_from_components(config: Configuration, flipset: FlipSet, params: ModelParams) -> float:
     """Wolff transition probability via the component-decomposition case form."""
-    if flipset.mask == 0:
-        raise ValueError("flip set must be nonempty")
-    if config.n != flipset.n or config.n != params.n:
-        raise ValueError("sizes of configuration, flip set and params differ")
-    graph = RingGraph(params.n)
-    if not is_connected(flipset, graph):
-        return 0.0
-    if not _aligned_in(config, flipset.mask):
+    if not _wolff_support(config, flipset, params):
         return 0.0
     c = derived_constants(params)
     n = params.n
@@ -130,22 +128,18 @@ def wolff_entry_from_components(config: Configuration, flipset: FlipSet, params:
 
     if m == n:
         return 0.0
-    a_sites = set(flipset.sites)
-    for comp in dec.components():
-        comp_set = set(comp)
-        if not a_sites <= comp_set:
-            continue
-        comp_boundary = vertex_boundary(FlipSet.from_sites(comp, n), graph)
-        touched = len(a_sites & comp_boundary)
-        if len(comp_boundary) == 1:
-            # singleton component; A equals it
-            return (m / n) * 1.0
-        if touched == 0:
-            return (m / n) * c.bond_prob ** (m - 1) * c.bond_miss**2
-        if touched == 1:
-            return (m / n) * c.bond_prob ** (m - 1) * c.bond_miss
-        return (m / n) * c.bond_prob ** (m - 1)
-    return 0.0
+    # a connected aligned proper A on a mixed state lies in exactly one component
+    comp = next(comp for comp in dec.components() if not flipset.mask & ~comp)
+    comp_boundary = vertex_boundary(FlipSet(comp, n))
+    touched = (flipset.mask & comp_boundary).bit_count()
+    if comp_boundary.bit_count() == 1:
+        # singleton component; A equals it
+        return (m / n) * 1.0
+    if touched == 0:
+        return (m / n) * c.bond_prob ** (m - 1) * c.bond_miss**2
+    if touched == 1:
+        return (m / n) * c.bond_prob ** (m - 1) * c.bond_miss
+    return (m / n) * c.bond_prob ** (m - 1)
 
 
 def wolff_entry(config: Configuration, flipset: FlipSet, params: ModelParams) -> float:
@@ -192,9 +186,17 @@ def build_wolff_kernel(params: ModelParams) -> TransitionKernel:
     return TransitionKernel(params=params, kind=WOLFF, matrix=matrix)
 
 
+def _check_site(config: Configuration, site: int, params: ModelParams):
+    if config.n != params.n:
+        raise ValueError("sizes of configuration and params differ")
+    if not 1 <= site <= params.n:
+        raise ValueError(f"site {site} out of range 1..{params.n}")
+
+
 def glauber_flip_probability(config: Configuration, site: int, params: ModelParams) -> float:
     """Conditional flip probability of 1-based ``site`` (before the 1/N site choice)."""
     j_hat = params.require_finite("glauber_flip_probability")
+    _check_site(config, site, params)
     s_i = config.spin(site)
     s_nb = config.spin(site - 1) + config.spin(site + 1)
     return math.exp(-j_hat * s_i * s_nb) / (math.exp(j_hat * s_nb) + math.exp(-j_hat * s_nb))
@@ -203,21 +205,18 @@ def glauber_flip_probability(config: Configuration, site: int, params: ModelPara
 def glauber_flip_probability_from_components(config: Configuration, site: int, params: ModelParams) -> float:
     """Same probability from the component case analysis (cross-check form)."""
     j_hat = params.require_finite("glauber_flip_probability_from_components")
+    _check_site(config, site, params)
     e2, em2 = math.exp(2.0 * j_hat), math.exp(-2.0 * j_hat)
     dec = decompose(config)
     if dec.plus_count == 0 or dec.minus_count == 0:
         return em2 / (e2 + em2)
-    graph = RingGraph(params.n)
-    for comp in dec.components():
-        if site not in comp:
-            continue
-        if len(comp) == 1:
-            return e2 / (e2 + em2)
-        comp_boundary = vertex_boundary(FlipSet.from_sites(comp, params.n), graph)
-        if site in comp_boundary:
-            return 0.5
-        return em2 / (e2 + em2)
-    raise AssertionError("site not found in any component")
+    bit = 1 << (site - 1)
+    comp = next(c for c in dec.components() if c & bit)
+    if comp == bit:
+        return e2 / (e2 + em2)
+    if vertex_boundary(FlipSet(comp, params.n)) & bit:
+        return 0.5
+    return em2 / (e2 + em2)
 
 
 def build_glauber_kernel(params: ModelParams) -> TransitionKernel:

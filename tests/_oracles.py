@@ -72,6 +72,49 @@ def uf_components(spins):
     return sorted(plus, key=min), sorted(minus, key=min)
 
 
+def ring_bonds(n):
+    """The n ring bonds (i, i mod n + 1), 1-based; at n = 2 both (1, 2) and (2, 1)."""
+    return [(i, i % n + 1) for i in range(1, n + 1)]
+
+
+def ring_neighbors(site, n):
+    """The left and right ring neighbours of a 1-based site."""
+    return {(site - 2) % n + 1, site % n + 1}
+
+
+def set_edge_boundary(sites, n):
+    """Ring bonds with exactly one endpoint in the site set."""
+    return {(a, b) for a, b in ring_bonds(n) if (a in sites) != (b in sites)}
+
+
+def set_vertex_boundary(sites, n):
+    """Member sites with a ring neighbour outside the site set."""
+    return {s for s in sites if not ring_neighbors(s, n) <= sites}
+
+
+def set_is_connected(sites, n):
+    """Nonempty and reachable from one member by steps between member neighbours."""
+    if not sites:
+        return False
+    start = min(sites)
+    seen, stack = {start}, [start]
+    while stack:
+        for nxt in ring_neighbors(stack.pop(), n) & sites:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen == sites
+
+
+def set_arc_witness(sites, n):
+    """First (start, length) in lexicographic order whose arc equals the set, else None."""
+    for start in range(1, n + 1):
+        for length in range(1, n + 1):
+            if {(start - 1 + k) % n + 1 for k in range(length)} == sites:
+                return (start, length)
+    return None
+
+
 def percolation_step_distribution(spins, j):
     """One-step Wolff law by enumeration over seeds and open-bond patterns.
 

@@ -163,8 +163,7 @@ class TestWolffKernel:
 
         d = decompose(sigma)
         for comp in d.components():
-            mask = sum(1 << (s - 1) for s in comp)
-            assert row[sigma.bits ^ mask] == pytest.approx(len(comp) / 6, abs=1e-15)
+            assert row[sigma.bits ^ comp] == pytest.approx(comp.bit_count() / 6, abs=1e-15)
         assert row.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_matrix_power_row_sums(self):
@@ -242,6 +241,17 @@ class TestGlauberKernel:
 
         with pytest.raises(CriticalCouplingError):
             build_glauber_kernel(ModelParams(4, INFINITE))
+
+    @pytest.mark.parametrize("form", [glauber_flip_probability, glauber_flip_probability_from_components])
+    def test_flip_probability_rejects_bad_site_or_size(self, form):
+        p = ModelParams(4, 0.5)
+        for cfg in (Configuration.all_plus(4), Configuration.from_spins([1, -1, -1, 1])):
+            for site in (0, 5, 99, -1):
+                with pytest.raises(ValueError, match="out of range"):
+                    form(cfg, site, p)
+            with pytest.raises(ValueError, match="sizes"):
+                form(Configuration(cfg.bits, 5), 1, p)
+            assert 0.0 < form(cfg, 4, p) < 1.0
 
 
 class TestDetailedBalance:
