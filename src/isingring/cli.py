@@ -249,6 +249,9 @@ def parse_config(argv) -> RunConfig:
 
 def _validate(config: RunConfig):
     v = config.values
+    for tol in ("db_tol", "z_max", "slack_tol", "lambda1_tol"):
+        if tol in v and not (math.isfinite(v[tol]) and v[tol] >= 0):
+            raise UsageError(f"invalid value for --{tol.replace('_', '-')}: need a finite tolerance >= 0")
     if "n" in v and v["n"] < 2:
         raise UsageError("need n >= 2")
     if "m" in v and v["m"] is not None and v["m"] < 1:

@@ -26,6 +26,9 @@ as the reference oracle:
 Both realize the same transition law (both reproduce the exact transition
 kernel; see tests), but they consume randomness differently, so trajectories
 are only reproducible within one of them.
+
+Glauber paths read one heat-bath table, ``_glauber_flip_probs``; chains draw
+sites, then uniforms, in the Wolff blocks, and ``glauber_step`` is the reference.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ DEFAULT_STORAGE_BUDGET = 256 * 1024 * 1024
 #: the sequential transfer-matrix sampler takes over (both are exact).
 INVERSE_CDF_SITE_LIMIT = 20
 
-#: Chains pre-draw the randomness of at most this many Wolff steps at once.
+#: Chains pre-draw the randomness of at most this many steps at once.
 CHAIN_DRAW_BLOCK = 4096
 
 
@@ -96,22 +99,29 @@ def wolff_step(config: Configuration, params: ModelParams, rng) -> Configuration
 def glauber_step(config: Configuration, params: ModelParams, rng) -> Configuration:
     """One heat-bath update: flip a uniform site with its conditional Gibbs odds.
 
-    The chosen site i flips with probability
-    e^{-J s_i (s_{i-1}+s_{i+1})} / (e^{J (s_{i-1}+s_{i+1})} + e^{-J (s_{i-1}+s_{i+1})}).
-    Consumes one integer and one uniform per call.
+    The chosen site flips with probability e^{2J}/(e^{2J}+e^{-2J}), 1/2 or
+    e^{-2J}/(e^{2J}+e^{-2J}) when 0, 1 or 2 of its neighbours are aligned with
+    it. The per-step reference: consumes one integer, then one uniform, per call.
     """
-    j_hat = params.require_finite("glauber_step")
+    flip_probs = _glauber_flip_probs(params.require_finite("glauber_step"))
     if config.n != params.n:
         raise ValueError("configuration and params sizes differ")
-    return Configuration(_glauber_step_bits(config.bits, params.n, j_hat, as_generator(rng)), params.n)
+    gen = as_generator(rng)
+    site = int(gen.integers(params.n))
+    return Configuration(_glauber_flip_bits(config.bits, site, gen.random(), params.n, flip_probs), params.n)
 
 
-def _glauber_step_bits(bits: int, n: int, j_hat: float, gen: np.random.Generator) -> int:
-    i = int(gen.integers(n))
-    s_i = 2 * ((bits >> i) & 1) - 1
-    s_nb = (2 * ((bits >> ((i - 1) % n)) & 1) - 1) + (2 * ((bits >> ((i + 1) % n)) & 1) - 1)
-    p_flip = math.exp(-j_hat * s_i * s_nb) / (math.exp(j_hat * s_nb) + math.exp(-j_hat * s_nb))
-    return bits ^ (1 << i) if gen.random() < p_flip else bits
+def _glauber_flip_probs(j_hat: float) -> np.ndarray:
+    """Heat-bath flip probability of a site with 0, 1 or 2 neighbours aligned with it."""
+    e2, em2 = np.exp(2.0 * j_hat), np.exp(-2.0 * j_hat)
+    return np.array([e2 / (e2 + em2), 0.5, em2 / (e2 + em2)])
+
+
+def _glauber_flip_bits(bits: int, site: int, u: float, n: int, flip_probs) -> int:
+    """Heat-bath update of 0-based ``site`` with uniform ``u`` on a bit-packed state."""
+    s = (bits >> site) & 1
+    aligned = (((bits >> ((site - 1) % n)) & 1) == s) + (((bits >> ((site + 1) % n)) & 1) == s)
+    return bits ^ (1 << site) if u < flip_probs[aligned] else bits
 
 
 def _truncated_geometric(u: np.ndarray, bond_prob: float, n: int) -> np.ndarray:
@@ -207,18 +217,17 @@ def wolff_step_many(spins: np.ndarray, params: ModelParams, gen: np.random.Gener
 
 def glauber_step_many(spins: np.ndarray, params: ModelParams, gen: np.random.Generator) -> np.ndarray:
     """One Glauber update applied independently to each row of a (chains, n) +-1 array."""
-    j_hat = params.require_finite("glauber_step_many")
+    flip_probs = _glauber_flip_probs(params.require_finite("glauber_step_many"))
     c, n = spins.shape
     if n != params.n:
         raise ValueError("spin array and params sizes differ")
     sites = gen.integers(0, n, size=c)
     u = gen.random(c)
     rows = np.arange(c)
-    s_i = spins[rows, sites].astype(np.float64)
-    s_nb = (spins[rows, (sites - 1) % n] + spins[rows, (sites + 1) % n]).astype(np.float64)
-    p_flip = np.exp(-j_hat * s_i * s_nb) / (np.exp(j_hat * s_nb) + np.exp(-j_hat * s_nb))
+    s_i = spins[rows, sites]
+    aligned = (spins[rows, (sites - 1) % n] == s_i).astype(np.int64) + (spins[rows, (sites + 1) % n] == s_i)
     out = spins.copy()
-    hit = u < p_flip
+    hit = u < flip_probs[aligned]
     out[rows[hit], sites[hit]] = -out[rows[hit], sites[hit]]
     return out
 
@@ -324,27 +333,29 @@ def encode_spins(spins: np.ndarray) -> np.ndarray:
 def _chain_bits(bits: int, states: int, kind: str, params: ModelParams, gen: np.random.Generator) -> Iterator[int]:
     """Yield ``states`` bit-packed chain states: ``bits`` itself, then one per step.
 
-    Wolff steps run the scalar arc law over blocks of at most
-    ``CHAIN_DRAW_BLOCK`` pre-drawn steps, cut at the steps remaining, so a
-    chain consumes exactly its own steps' draws. Glauber steps draw per step,
-    exactly as ``glauber_step`` does.
+    Both dynamics pre-draw blocks of at most ``CHAIN_DRAW_BLOCK`` steps, cut
+    at the steps remaining, so a chain consumes exactly its own steps' draws:
+    Wolff steps run the scalar arc law on ``_arc_draws`` blocks, Glauber steps
+    the heat-bath rule on blocks of sites, then uniforms, as ``glauber_step_many``.
     """
     if kind not in (WOLFF, GLAUBER):
         raise ValueError(f"unknown dynamics kind {kind!r}")
     n = params.n
-    j_hat = params.require_finite("Glauber dynamics") if kind == GLAUBER else None
-    yield bits
     if kind == GLAUBER:
-        for _ in range(states - 1):
-            bits = _glauber_step_bits(bits, n, j_hat, gen)
-            yield bits
-        return
-    bond_prob = derived_constants(params).bond_prob
+        flip_probs = _glauber_flip_probs(params.require_finite("Glauber dynamics")).tolist()
+    else:
+        bond_prob = derived_constants(params).bond_prob
+    yield bits
     for done in range(0, states - 1, CHAIN_DRAW_BLOCK):
-        draws = _arc_draws(gen, min(CHAIN_DRAW_BLOCK, states - 1 - done), n, bond_prob)
-        for seed, g_right, g_left in zip(*(d.tolist() for d in draws)):
-            bits = _wolff_arc_bits(bits, seed, g_right, g_left, n)
-            yield bits
+        count = min(CHAIN_DRAW_BLOCK, states - 1 - done)
+        if kind == GLAUBER:
+            for site, u in zip(gen.integers(0, n, size=count).tolist(), gen.random(count).tolist()):
+                bits = _glauber_flip_bits(bits, site, u, n, flip_probs)
+                yield bits
+        else:
+            for seed, g_right, g_left in zip(*(d.tolist() for d in _arc_draws(gen, count, n, bond_prob))):
+                bits = _wolff_arc_bits(bits, seed, g_right, g_left, n)
+                yield bits
 
 
 def iter_chain(initial: InitialLaw, steps: int, kind: str, params: ModelParams, rng) -> Iterator[Configuration]:
@@ -372,10 +383,11 @@ def run_chain(
         raise ResourceLimitError(
             f"storing {steps} states needs {steps * 8} bytes > budget {storage_budget}; use iter_chain"
         )
-    states = np.empty(steps, dtype=np.uint64)
-    for k, cfg in enumerate(iter_chain(initial, steps, kind, params, rng)):
-        states[k] = cfg.bits
-    return Trajectory(params=params, kind=kind, states=states)
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    gen = as_generator(rng)
+    chain = _chain_bits(initial.sample(params, gen).bits, steps, kind, params, gen)
+    return Trajectory(params=params, kind=kind, states=np.fromiter(chain, dtype=np.uint64, count=steps))
 
 
 def ergodic_average(f: Callable[[Configuration], float], trajectory) -> float:

@@ -39,11 +39,12 @@ from .model import (
     KERNEL_SITE_LIMIT,
     ModelParams,
     ResourceLimitError,
-    _popcount_array,
+    _rotated_bits,
     derived_constants,
 )
 from .clusters import FlipSet, decompose, edge_boundary, is_connected, vertex_boundary
-from .dynamics import GLAUBER, WOLFF, _arc_draws, _arc_flip_masks, _arc_runs, _wolff_step_bits, glauber_step
+from .dynamics import GLAUBER, WOLFF, _wolff_step_bits, glauber_step
+from .dynamics import _arc_draws, _arc_flip_masks, _arc_runs, _glauber_flip_probs
 from .randomness import as_generator
 
 
@@ -167,16 +168,15 @@ def build_wolff_kernel(params: ModelParams) -> TransitionKernel:
     size = 1 << n
     full = size - 1
     states = np.arange(size, dtype=np.int64)
-    rotated = (states >> 1) | ((states & 1) << (n - 1))
-    aligned_bonds = ~(states ^ rotated) & full  # per-source bitmask of aligned bonds
+    aligned_bonds = ~(states ^ _rotated_bits(states, n)) & full  # per-source bitmask of aligned bonds
     miss_pow = np.array([1.0, c.bond_miss, c.bond_miss**2])
 
     matrix = np.zeros((size, size))
     for mask, length in _arc_masks(n):
         sel = states & mask
         ok = (sel == 0) | (sel == mask)
-        boundary = mask ^ (((mask >> 1) | ((mask & 1) << (n - 1))) & full)
-        misses = _popcount_array(aligned_bonds & boundary)
+        boundary = mask ^ _rotated_bits(mask, n)
+        misses = np.bitwise_count(aligned_bonds & boundary)
         values = (length / n) * c.bond_prob ** (length - 1) * miss_pow[misses]
         src = states[ok]
         matrix[src, src ^ mask] = values[ok]
@@ -195,11 +195,10 @@ def _check_site(config: Configuration, site: int, params: ModelParams):
 
 def glauber_flip_probability(config: Configuration, site: int, params: ModelParams) -> float:
     """Conditional flip probability of 1-based ``site`` (before the 1/N site choice)."""
-    j_hat = params.require_finite("glauber_flip_probability")
+    flip_probs = _glauber_flip_probs(params.require_finite("glauber_flip_probability"))
     _check_site(config, site, params)
     s_i = config.spin(site)
-    s_nb = config.spin(site - 1) + config.spin(site + 1)
-    return math.exp(-j_hat * s_i * s_nb) / (math.exp(j_hat * s_nb) + math.exp(-j_hat * s_nb))
+    return float(flip_probs[(config.spin(site - 1) == s_i) + (config.spin(site + 1) == s_i)])
 
 
 def glauber_flip_probability_from_components(config: Configuration, site: int, params: ModelParams) -> float:
@@ -221,19 +220,17 @@ def glauber_flip_probability_from_components(config: Configuration, site: int, p
 
 def build_glauber_kernel(params: ModelParams) -> TransitionKernel:
     """Assemble the exact heat-bath kernel; off-diagonal support is single flips."""
-    j_hat = params.require_finite("build_glauber_kernel")
+    flip_probs = _glauber_flip_probs(params.require_finite("build_glauber_kernel"))
     n = params.n
     _check_kernel_size(n)
     size = 1 << n
     states = np.arange(size, dtype=np.int64)
+    aligned_bonds = ~(states ^ _rotated_bits(states, n))
     matrix = np.zeros((size, size))
     for b in range(n):
-        s_i = 2.0 * ((states >> b) & 1) - 1.0
-        s_prev = 2.0 * ((states >> ((b - 1) % n)) & 1) - 1.0
-        s_next = 2.0 * ((states >> ((b + 1) % n)) & 1) - 1.0
-        s_nb = s_prev + s_next
-        p_flip = np.exp(-j_hat * s_i * s_nb) / (np.exp(j_hat * s_nb) + np.exp(-j_hat * s_nb))
-        matrix[states, states ^ (1 << b)] = p_flip / n
+        # bond b joins sites b and b+1, so site b's bonds are b and b-1
+        aligned = ((aligned_bonds >> b) & 1) + ((aligned_bonds >> ((b - 1) % n)) & 1)
+        matrix[states, states ^ (1 << b)] = flip_probs[aligned] / n
     matrix[states, states] = 1.0 - matrix.sum(axis=1)
     return TransitionKernel(params=params, kind=GLAUBER, matrix=matrix)
 
@@ -360,12 +357,8 @@ def _one_step_counts_bulk(
         masks = _arc_flip_masks(seeds, g_right, g_left, run_r[seeds], run_l[seeds], n)
         masks ^= np.uint64(state_bits)
         return np.bincount(masks.view(np.int64), minlength=size)
-    flip_prob = np.array(
-        [
-            glauber_flip_probability(Configuration(state_bits, n), b + 1, kernel.params)
-            for b in range(n)
-        ]
-    )
+    cfg = Configuration(state_bits, n)
+    flip_prob = np.array([glauber_flip_probability(cfg, b + 1, kernel.params) for b in range(n)])
     sites = gen.integers(0, n, size=trials)
     u = gen.random(trials)
     flips = np.where(u < flip_prob[sites], np.int64(1) << sites.astype(np.int64), 0)

@@ -205,8 +205,8 @@ def derived_constants(params: ModelParams) -> DerivedConstants:
     )
 
 
-def _rotated_bits(bits: int, n: int) -> int:
-    """Bit b of the result is bit (b+1) mod n of the input."""
+def _rotated_bits(bits, n: int):
+    """Bit b of the result is bit (b+1) mod n of the input (a Python int or an int64 array)."""
     return (bits >> 1) | ((bits & 1) << (n - 1))
 
 
@@ -231,22 +231,13 @@ def partition_function(params: ModelParams) -> float:
     return c.partition
 
 
-_POPCOUNT_LUT = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
-
-
-def _popcount_array(values: np.ndarray) -> np.ndarray:
-    v = values.astype(np.int64)
-    return _POPCOUNT_LUT[v & 0xFFFF] + _POPCOUNT_LUT[(v >> 16) & 0xFFFF]
-
-
 def bond_sum_all_states(n: int) -> np.ndarray:
     """sum_i sigma_i sigma_{i+1} for every state in binary order (2^n entries)."""
     if n > BRUTE_SITE_LIMIT:
         raise ResourceLimitError(f"2^{n} enumeration exceeds the n <= {BRUTE_SITE_LIMIT} cap")
     states = np.arange(1 << n, dtype=np.int64)
-    rotated = (states >> 1) | ((states & 1) << (n - 1))
-    frustrated = _popcount_array(states ^ rotated)
-    return n - 2 * frustrated
+    # int64: a uint8 count would wrap n - 2 * frustrated
+    return n - 2 * np.bitwise_count(states ^ _rotated_bits(states, n)).astype(np.int64)
 
 
 def partition_function_brute(params: ModelParams) -> float:

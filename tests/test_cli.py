@@ -95,6 +95,20 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["kernel-verify", "--n", "4", "--j-hat", "0.5", "--db-tol"],
+        ["kernel-verify", "--n", "4", "--j-hat", "0.5", "--trials", "100", "--z-max"],
+        ["lsi-verify", "--n", "4", "--j-hat", "0.5", "--slack-tol"],
+        ["spectra", "--n", "8", "--j-hat", "0.0", "--m", "4000", "--lambda1-tol"],
+        ["sweep", "--j-hat", "0.5", "--n-list", "4", "--lambda1-tol"],
+    ], ids=["db-tol", "z-max", "slack-tol", "spectra-lambda1-tol", "sweep-lambda1-tol"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, argv, value, tmp_path, capsys):
+        assert main(argv + [value, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid value for {argv[-1]}: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
     def test_limits_of_the_new_checks_still_parse(self):
         parse_config(["spectra", "--n", "64", "--j-hat", "0.5", "--m", "40"])
         parse_config(["spectra", "--n", "63", "--j-hat", "inf", "--m", "5"])

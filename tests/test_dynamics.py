@@ -30,7 +30,13 @@ from isingring import (
     wolff_step,
     wolff_step_many,
 )
-from isingring.dynamics import CHAIN_DRAW_BLOCK, _arc_draws, _chain_bits, _wolff_arc_bits
+from isingring.dynamics import (
+    CHAIN_DRAW_BLOCK,
+    _arc_draws,
+    _chain_bits,
+    _glauber_flip_probs,
+    _wolff_arc_bits,
+)
 from isingring.functionals import lsi_constant_bound
 
 import _oracles as oracle
@@ -327,18 +333,33 @@ def test_arc_law_forms_agree_draw_for_draw(n, j):
         spins = expected
 
 
-def test_chain_draw_blocks_are_cut_at_the_steps_remaining():
-    # a chain of k states draws k-1 steps: full blocks, then one cut block
+def _glauber_by_hand(bits, site, u, n, j_hat):
+    # the heat-bath rule written out from the spins, independently of _glauber_flip_bits
+    s = [2 * ((bits >> k) & 1) - 1 for k in ((site - 1) % n, site, (site + 1) % n)]
+    aligned = (s[0] == s[1]) + (s[2] == s[1])
+    return bits ^ (1 << site) if u < _glauber_flip_probs(j_hat)[aligned] else bits
+
+
+@pytest.mark.parametrize("kind", [WOLFF, GLAUBER])
+def test_chain_draw_blocks_are_cut_at_the_steps_remaining(kind):
+    # a chain of k states draws k-1 steps: full blocks, then one cut block;
+    # Wolff blocks are seeds, right and left uniforms, Glauber blocks sites then uniforms
     n = 12
     params = ModelParams(n, 0.7)
     gen = RngStream(32).generator()
-    chain = list(_chain_bits(5, CHAIN_DRAW_BLOCK + 10, WOLFF, params, gen))
+    chain = list(_chain_bits(5, CHAIN_DRAW_BLOCK + 10, kind, params, gen))
     ref = RngStream(32).generator()
     bits, expected = 5, [5]
     for count in (CHAIN_DRAW_BLOCK, 9):
-        for draws in zip(*(x.tolist() for x in _arc_draws(ref, count, n, derived_constants(params).bond_prob))):
-            bits = _wolff_arc_bits(bits, *draws, n)
-            expected.append(bits)
+        if kind == WOLFF:
+            for draws in zip(*(x.tolist() for x in _arc_draws(ref, count, n, derived_constants(params).bond_prob))):
+                bits = _wolff_arc_bits(bits, *draws, n)
+                expected.append(bits)
+        else:
+            sites = ref.integers(0, n, size=count)
+            for site, u in zip(sites.tolist(), ref.random(count).tolist()):
+                bits = _glauber_by_hand(bits, site, u, n, 0.7)
+                expected.append(bits)
     assert chain == expected
     assert gen.random() == ref.random()  # nothing drawn beyond the chain's own steps
 

@@ -236,6 +236,19 @@ class TestGlauberKernel:
                 b = glauber_flip_probability_from_components(cfg, site, p)
                 assert abs(a - b) <= 1e-15
 
+    @pytest.mark.parametrize("j", [0.0, 0.65, 2.5])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_kernel_entries_match_component_form(self, n, j):
+        # the builder reads a table by aligned-neighbour count; tie every
+        # single-flip entry to the independent component case analysis
+        p = ModelParams(n, j)
+        matrix = build_glauber_kernel(p).matrix
+        for bits in range(1 << n):
+            cfg = Configuration(bits, n)
+            for b in range(n):
+                expected = glauber_flip_probability_from_components(cfg, b + 1, p) / n
+                assert abs(matrix[bits, bits ^ (1 << b)] - expected) <= 1e-15
+
     def test_critical_rejected(self):
         from isingring import CriticalCouplingError
 
