@@ -42,9 +42,10 @@ from .model import (
     gibbs_measure,
     two_point_correlation,
 )
-from .clusters import FlipSet, decompose
+from .clusters import decompose
 from .dynamics import (
     GLAUBER,
+    INVERSE_CDF_SITE_LIMIT,
     WOLFF,
     InitialLaw,
     hitting_time_aligned,
@@ -57,12 +58,14 @@ from .kernel import (
     empirical_vs_exact,
     spectral_gap,
     symmetrize_and_decompose,
-    wolff_entry_from_boundary,
+    wolff_dual_form_disagreement,
+    wolff_entry_from_boundary,  # unused here; bench/tracer.py rebinds these two names on cli
     wolff_entry_from_components,
     write_matrix_dump,
 )
 from .functionals import (
     certification_sweep,
+    lsi_constant_bound,
     poincare_constant_bound,
 )
 from .randomness import RngStream
@@ -300,6 +303,32 @@ def _validate(config: RunConfig):
         raise UsageError("need --functions >= 0")
     if config.command == "kernel-verify" and v["trials"] < 0:
         raise UsageError("need --trials >= 0 (0 skips the empirical check)")
+    if "j_hat" in v and not critical:
+        _check_coupling_range(config)
+
+
+def _check_coupling_range(config: RunConfig):
+    """Reject a finite coupling at which a closed form the command evaluates overflows a float64.
+
+    Commands that tabulate the Gibbs measure need the weight sum, at most
+    2^n e^(j n), to be finite; the others evaluate e^(2j) (heat-bath odds)
+    at most. lsi-verify, spectra and sweep also need the log-Sobolev constant.
+    """
+    v = config.values
+    j = v["j_hat"]
+    n = max(v["n_list"]) if config.command == "sweep" else v["n"]
+    log_max = math.log(sys.float_info.max)
+    tabulated = config.command in ("kernel-verify", "lsi-verify") or (
+        config.command == "simulate" and v["initial"] == "stationary" and n <= INVERSE_CDF_SITE_LIMIT)
+    if tabulated and j * n + n * math.log(2.0) >= log_max:
+        raise UsageError(f"--j-hat {j!r} is too large for n={n}: the Gibbs weights e^(j-hat*n) overflow a float64")
+    if 2.0 * j >= log_max:
+        raise UsageError(f"--j-hat {j!r} is too large: e^(2*j-hat) overflows a float64")
+    if config.command in ("lsi-verify", "spectra", "sweep"):
+        try:
+            lsi_constant_bound(j, n)
+        except ValueError as exc:
+            raise UsageError(f"--j-hat {j!r} is too large for {config.command}: {exc}")
 
 
 def thread_count(config: RunConfig) -> int:
@@ -408,22 +437,10 @@ def _cmd_kernel_verify(config: RunConfig) -> int:
     record("glauber_row_sum_error", glauber.row_sum_error(), config.db_tol)
     record("glauber_detailed_balance", check_detailed_balance(glauber, measure), config.db_tol)
 
-    # dual-form agreement of the Wolff entries on every connected arc
-    worst = 0.0
-    n = params.n
-    for start in range(1, n + 1):
-        for length in range(1, n + 1):
-            flip = FlipSet.arc(start, length, n)
-            for bits in range(1 << n):
-                cfg = Configuration(bits, n)
-                a = wolff_entry_from_boundary(cfg, flip, params)
-                b = wolff_entry_from_components(cfg, flip, params)
-                worst = max(worst, abs(a - b))
-                k = wolff.matrix[bits, bits ^ flip.mask]
-                worst = max(worst, abs(a - k))
-    record("wolff_dual_form_disagreement", worst, 1e-15)
+    record("wolff_dual_form_disagreement", wolff_dual_form_disagreement(wolff), 1e-15)
 
     # single-flip comparison with the Glauber rates
+    n = params.n
     states = np.arange(1 << n, dtype=np.int64)
     factor = 0.5 * math.exp(2.0 * float(params.j_hat))
     comparison = 0.0

@@ -102,12 +102,19 @@ def lsi_constant_bound(j_hat: float, n: int) -> float:
     """Explicit log-Sobolev constant e^{2J}(e^{4J}+1)(1/2 + J e^{(e^{2J}-1)/2}) N.
 
     Monotone increasing in both arguments; equals exactly N at j_hat = 0 (the
-    classical hypercube random-walk constant).
+    classical hypercube random-walk constant). Raises ValueError where it
+    overflows a float64, from j_hat of about 3.6 on.
     """
     j = float(j_hat)
     if j < 0 or not math.isfinite(j):
         raise ValueError("the log-Sobolev bound needs a finite nonnegative coupling")
-    return math.exp(2 * j) * (math.exp(4 * j) + 1.0) * (0.5 + j * math.exp((math.exp(2 * j) - 1.0) / 2.0)) * n
+    try:
+        bound = math.exp(2 * j) * (math.exp(4 * j) + 1.0) * (0.5 + j * math.exp((math.exp(2 * j) - 1.0) / 2.0)) * n
+    except OverflowError:
+        bound = math.inf
+    if math.isinf(bound):
+        raise ValueError(f"the log-Sobolev bound overflows a float64 at j_hat={j!r}, n={n}")
+    return bound
 
 
 def poincare_constant_bound(j_hat: float, n: int) -> float:

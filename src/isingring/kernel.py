@@ -7,15 +7,21 @@ the closed form: for a connected, spin-aligned flip set A,
     P(sigma, sigma^A) = (#A/N) * bond_prob^{#A-1} * bond_miss^{#(dA & aligned bonds)}
 
 for proper A, and (N*bond_miss + bond_prob) * bond_prob^{N-1} for the full
-flip out of an aligned state; everything else is zero. Two independent
-scalar evaluations are provided (one from the edge boundary of A, one from
-the component decomposition case analysis) and must agree exactly.
+flip out of an aligned state; everything else is zero. Each entry has two
+independent evaluations, one from the edge boundary of A and one from the
+component decomposition case analysis, and they must agree exactly.
 
 Both work on the integer masks of ``clusters``: a site mask has bit b for
 site b+1 (so A is ``FlipSet.mask``), and a bond mask has bit b for the bond
 (b+1, b+2 mod N). The boundary form counts popcount(edge_boundary(A) &
 aligned_bonds); the component form finds the component C with A & ~C == 0
 and reads how many sites of C's vertex boundary A holds.
+
+``wolff_dual_form_disagreement`` checks a built kernel with both forms as
+arrays over all source states, one arc mask at a time; there the component
+form reads the component's extent from the run lengths of the arc law. The
+scalar forms ``wolff_entry_from_boundary``/``wolff_entry_from_components``
+take any flip set, connected or not, and are the oracle for the arrays.
 
 The kernel builder only visits the N(N-1)+1 connected arc masks per ring
 (all other columns are zero), vectorizing over source states. Each kernel
@@ -149,7 +155,7 @@ def wolff_entry(config: Configuration, flipset: FlipSet, params: ModelParams) ->
 
 
 def _arc_masks(n: int):
-    """All proper connected arc masks: (mask, length) for every start and length < n.
+    """All proper connected arc masks: (start, mask, length) for every 0-based start and length < n.
 
     The full ring is not yielded; the builder handles the full flip separately.
     """
@@ -157,7 +163,7 @@ def _arc_masks(n: int):
         mask = 0
         for length in range(1, n):
             mask |= 1 << ((start + length - 1) % n)
-            yield mask, length
+            yield start, mask, length
 
 
 def build_wolff_kernel(params: ModelParams) -> TransitionKernel:
@@ -172,7 +178,7 @@ def build_wolff_kernel(params: ModelParams) -> TransitionKernel:
     miss_pow = np.array([1.0, c.bond_miss, c.bond_miss**2])
 
     matrix = np.zeros((size, size))
-    for mask, length in _arc_masks(n):
+    for _, mask, length in _arc_masks(n):
         sel = states & mask
         ok = (sel == 0) | (sel == mask)
         boundary = mask ^ _rotated_bits(mask, n)
@@ -184,6 +190,57 @@ def build_wolff_kernel(params: ModelParams) -> TransitionKernel:
     matrix[0, full] = full_flip
     matrix[full, 0] = full_flip
     return TransitionKernel(params=params, kind=WOLFF, matrix=matrix)
+
+
+def _wolff_dual_form_columns(params: ModelParams):
+    """Yield (mask, boundary, component) for every connected arc mask A, full ring last.
+
+    ``boundary`` and ``component`` are the two forms of P(sigma, sigma^A)
+    over all source states sigma in binary order:
+
+    - the boundary form, supported where A is spin-aligned, with
+      popcount(edge_boundary(A) & aligned_bonds) missed bonds;
+    - the component form, from the arc-law run lengths at A's first site:
+      A lies in one component iff run_r >= #A-1, and it holds
+      (run_l == 0) + (run_r == #A-1) sites of that component's vertex
+      boundary ("touched"), so the entry carries bond_miss^(2 - touched); on
+      the full ring it is the full-flip value where run_r == N (an aligned
+      state) and 0 elsewhere.
+    """
+    n = params.n
+    c = derived_constants(params)
+    full = (1 << n) - 1
+    states = np.arange(full + 1, dtype=np.int64)
+    aligned_bonds = ~(states ^ _rotated_bits(states, n)) & full
+    runs = [_arc_runs(states, start, n) for start in range(n)]
+    # scalar pow, as in the scalar forms: numpy's array pow can differ by an ulp
+    miss_pow = np.array([c.bond_miss**k for k in range(3)])
+    for start, mask, length in _arc_masks(n):
+        weight = (length / n) * c.bond_prob ** (length - 1)
+        sel = states & mask
+        misses = np.bitwise_count(aligned_bonds & (mask ^ _rotated_bits(mask, n)))
+        boundary = np.where((sel == 0) | (sel == mask), weight * miss_pow[misses], 0.0)
+        run_r, run_l = runs[start]
+        touched = (run_l == 0).astype(np.int64) + (run_r == length - 1)
+        component = np.where(run_r >= length - 1, weight * miss_pow[2 - touched], 0.0)
+        yield mask, boundary, component
+    full_flip = (n * c.bond_miss + c.bond_prob) * c.bond_prob ** (n - 1)
+    boundary = np.where((states == 0) | (states == full), full_flip, 0.0)
+    yield full, boundary, np.where(runs[0][0] == n, full_flip, 0.0)
+
+
+def wolff_dual_form_disagreement(kernel: TransitionKernel) -> float:
+    """Max of |boundary - component| and |boundary - P(sigma, sigma^A)| over every
+    connected arc mask A and every source state sigma, zeros included.
+
+    The N(N-1)+1 arc columns hold the whole support of the Wolff kernel.
+    """
+    states = np.arange(kernel.size, dtype=np.int64)
+    worst = 0.0
+    for mask, boundary, component in _wolff_dual_form_columns(kernel.params):
+        entries = kernel.matrix[states, states ^ mask]
+        worst = max(worst, np.abs(boundary - component).max(), np.abs(boundary - entries).max())
+    return float(worst)
 
 
 def _check_site(config: Configuration, site: int, params: ModelParams):

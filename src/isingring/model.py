@@ -188,6 +188,8 @@ def derived_constants(params: ModelParams) -> DerivedConstants:
     theta = lam_minus / lam_plus
     if theta == 0.0:
         corr_length = 0.0
+    elif theta == 1.0:
+        corr_length = math.inf  # tanh J rounds to 1 once J is above about 19
     else:
         corr_length = -1.0 / math.log(theta)
     try:

@@ -109,6 +109,30 @@ class TestExitCodes:
         assert err.startswith(f"error: invalid value for {argv[-1]}: ") and err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["spectra", "--n", "8", "--j-hat", "30", "--m", "100"],
+        ["sweep", "--j-hat", "30", "--n-list", "4,6"],
+        ["lsi-verify", "--n", "4", "--j-hat", "30"],
+        ["lsi-verify", "--n", "4", "--j-hat", "3.62"],
+        ["kernel-verify", "--n", "4", "--j-hat", "400"],
+        ["simulate", "--n", "8", "--j-hat", "400", "--m", "100"],
+        ["simulate", "--n", "30", "--j-hat", "1e300", "--m", "100", "--initial", "uniform"],
+    ])
+    def test_huge_coupling_exits_2_naming_it(self, argv, tmp_path, capsys):
+        # the closed forms these commands evaluate overflow a float64 at this coupling
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --j-hat {float(argv[argv.index('--j-hat') + 1])!r} is too large")
+        assert err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_huge_coupling_kernel_verify_and_simulate_run(self, tmp_path, capsys):
+        # tanh J rounds to 1.0 here; the kernel and the chain need only e^{-2J}
+        assert main(["kernel-verify", "--n", "4", "--j-hat", "30", "--out", str(tmp_path)]) == 0
+        assert main(["simulate", "--n", "8", "--j-hat", "30", "--m", "100", "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "simulate.csv").read_text().splitlines()[1].split(",")
+        assert abs(float(row[5])) == 0.0 and float(row[6]) == 1.0 == float(row[7])  # full flips of an aligned ring
+
     def test_limits_of_the_new_checks_still_parse(self):
         parse_config(["spectra", "--n", "64", "--j-hat", "0.5", "--m", "40"])
         parse_config(["spectra", "--n", "63", "--j-hat", "inf", "--m", "5"])
@@ -116,12 +140,26 @@ class TestExitCodes:
         parse_config(["hitting", "--n", "6", "--count", "1"])
         parse_config(["lsi-verify", "--n", "4", "--j-hat", "0.5", "--functions", "0"])
         parse_config(["kernel-verify", "--n", "4", "--j-hat", "0.5", "--trials", "0"])
+        parse_config(["lsi-verify", "--n", "14", "--j-hat", "3.6"])
+        parse_config(["sweep", "--j-hat", "3.6", "--n-list", "4,64"])
+        parse_config(["kernel-verify", "--n", "14", "--j-hat", "50"])
+        parse_config(["simulate", "--n", "30", "--j-hat", "354", "--m", "1"])
 
     def test_kernel_verify_passes(self, tmp_path, capsys):
         code = main(["kernel-verify", "--n", "4", "--j-hat", "1.0", "--out", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "detailed-balance max violation" in out and "PASS" in out
+
+    def test_kernel_verify_fails_on_a_doctored_wolff_kernel(self, tmp_path, monkeypatch):
+        from isingring import cli
+        from test_kernel import doctored_kernel
+
+        monkeypatch.setattr(cli, "build_wolff_kernel", lambda params: doctored_kernel(params, (0, 1)))
+        assert main(["kernel-verify", "--n", "5", "--j-hat", "0.7", "--out", str(tmp_path)]) == 1
+        rows = [line.split(",") for line in (tmp_path / "kernel-verify.csv").read_text().splitlines()]
+        row = next(r for r in rows if r[0] == "wolff_dual_form_disagreement")
+        assert float(row[1]) >= 1e-12 and row[2:] == ["1e-15", "0"]
 
     def test_hitting_passes(self, tmp_path):
         assert main(["hitting", "--n", "7", "--count", "40", "--out", str(tmp_path)]) == 0

@@ -190,6 +190,12 @@ class TestConstants:
         with pytest.raises(ValueError):
             lsi_constant_bound(math.inf, 4)
 
+    def test_overflow_is_an_error_not_inf(self):
+        assert math.isfinite(lsi_constant_bound(3.6, 64))
+        for j, n in ((3.62, 2), (30.0, 4), (3.6, 10**300)):
+            with pytest.raises(ValueError, match="overflows a float64"):
+                lsi_constant_bound(j, n)
+
 
 class TestCertification:
     def test_constant_function_passes(self, setup_n6):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingring import (
     INFINITE,
@@ -21,11 +22,12 @@ from isingring import (
     read_matrix_dump,
     spectral_gap,
     symmetrize_and_decompose,
+    wolff_dual_form_disagreement,
     wolff_entry,
     wolff_entry_from_boundary,
     wolff_entry_from_components,
 )
-from isingring.kernel import export_kernel_binary, write_matrix_dump
+from isingring.kernel import TransitionKernel, _wolff_dual_form_columns, export_kernel_binary, write_matrix_dump
 from isingring.randomness import RngStream
 
 import _oracles as oracle
@@ -121,6 +123,54 @@ class TestWolffEntry:
                 b = wolff_entry_from_components(cfg, flip, p)
                 assert abs(a - b) <= 1e-15
                 assert abs(a - kernel.matrix[cfg.bits, cfg.bits ^ mask]) <= 1e-15
+
+
+def doctored_kernel(params, entry, nudge=1e-12):
+    """A Wolff kernel whose matrix differs from the exact one in one entry."""
+    matrix = build_wolff_kernel(params).matrix.copy()
+    matrix[entry] += nudge
+    return TransitionKernel(params=params, kind="wolff", matrix=matrix)
+
+
+class TestDualFormArrays:
+    @pytest.mark.parametrize("j", [0.0, 0.7, 2.5, INFINITE])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_exactly_zero_on_built_kernel(self, n, j):
+        assert wolff_dual_form_disagreement(build_wolff_kernel(ModelParams(n, j))) == 0.0
+
+    # j = 1e-5 at n = 2: numpy's array pow gives bond_miss^2 an ulp away from the scalar pow
+    @pytest.mark.parametrize("j", [0.0, 1e-5, 0.7, 2.5, INFINITE])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_columns_equal_scalar_forms_on_every_pair(self, n, j):
+        p = ModelParams(n, j)
+        masks = []
+        for mask, boundary, component in _wolff_dual_form_columns(p):
+            masks.append(mask)
+            flip = FlipSet(mask, n)
+            for bits in range(1 << n):
+                cfg = Configuration(bits, n)
+                assert boundary[bits] == wolff_entry_from_boundary(cfg, flip, p)
+                assert component[bits] == wolff_entry_from_components(cfg, flip, p)
+        # every connected arc mask exactly once, the full ring last
+        arcs = {FlipSet.arc(s, length, n).mask for s in range(1, n + 1) for length in range(1, n + 1)}
+        assert len(masks) == n * (n - 1) + 1 == len(arcs) and set(masks) == arcs
+        assert masks[-1] == (1 << n) - 1
+
+    @pytest.mark.parametrize("entry", [(0, 1), (2, 1)], ids=["supported", "zero-on-arc-column"])
+    def test_nudged_entry_is_seen(self, entry):
+        # (0, 1): single flip out of all-minus; (2, 1): sites 1-2 of (-,+,-,-,-), a misaligned arc
+        assert wolff_dual_form_disagreement(doctored_kernel(ModelParams(5, 0.7), entry)) >= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 8), j=st.floats(0.0, 6.0))
+    def test_exact_laws_hold_for_random_couplings(self, n, j):
+        p = ModelParams(n, j)
+        measure = gibbs_measure(p)
+        wolff, glauber = build_wolff_kernel(p), build_glauber_kernel(p)
+        assert wolff_dual_form_disagreement(wolff) == 0.0
+        for kernel in (wolff, glauber):
+            assert kernel.row_sum_error() <= 1e-12
+            assert check_detailed_balance(kernel, measure) <= 1e-12
 
 
 class TestWolffKernel:

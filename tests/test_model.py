@@ -219,6 +219,12 @@ class TestDerivedConstants:
         assert crit.bond_prob == 1.0 and crit.bond_miss == 0.0
         assert crit.tanh_j == 1.0 and math.isinf(crit.corr_length)
 
+    def test_huge_coupling_has_infinite_correlation_length(self):
+        # tanh J rounds to 1.0 from J of about 19 on
+        c = derived_constants(ModelParams(4, 30.0))
+        assert c.tanh_j == 1.0 and math.isinf(c.corr_length)
+        assert c.bond_miss == math.exp(-60.0) and c.bond_prob == 1.0
+
     def test_huge_ring_overflows_to_inf_partition(self):
         # sampling at n in the thousands only needs the bounded constants
         c = derived_constants(ModelParams(1000, 1.0))
