@@ -13,10 +13,7 @@ Exit codes: 0 all enabled certifications pass, 1 certification failure,
 Outputs are UTF-8 CSV with LF line endings, a header row, and a trailing
 metadata comment block (version, config hash). Two runs with identical
 config produce byte-identical files: every work unit owns an RngStream
-keyed by (seed, unit index) and results are merged in deterministic grid
-order, independent of the worker pool schedule (--threads / ISING_THREADS;
-note that the pure-Python chain loops do not scale past the GIL, the
-vectorized paths do).
+keyed by (seed, unit index) and units run one after another in grid order.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import hashlib
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # unused here; bench/tracer.py rebinds this name on cli
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +49,7 @@ from .dynamics import (
     iter_chain,
 )
 from .kernel import (
+    _check_empirical_size,
     build_glauber_kernel,
     build_wolff_kernel,
     check_detailed_balance,
@@ -120,11 +118,11 @@ class RunConfig:
             raise AttributeError(name)
 
     def canonical(self) -> str:
-        # out and threads do not affect any computed value, so they are not
-        # part of the experiment identity
+        # out does not affect any computed value, so it is not part of the
+        # experiment identity
         parts = [f"command={self.command}"]
         for key in sorted(self.values):
-            if key in ("out", "threads"):
+            if key == "out":
                 continue
             parts.append(f"{key}={self.values[key]!r}")
         return "\n".join(parts)
@@ -139,7 +137,6 @@ _REQUIRED = object()
 _COMMON = {
     "seed": (int, 0),
     "out": (str, "."),
-    "threads": (int, 0),  # 0 = use ISING_THREADS or the available parallelism
 }
 
 _OPTIONS = {
@@ -207,9 +204,15 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # one "error:" line from main, not argparse's usage block
+        raise UsageError(message)
+
+
 def parse_config(argv) -> RunConfig:
     """Build a validated RunConfig from argv (+ optional key=value file)."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="isingring",
         description="Exact verification and sampling for Wolff/Glauber dynamics on the 1D Ising ring",
     )
@@ -305,6 +308,8 @@ def _validate(config: RunConfig):
         raise UsageError("need --trials >= 0 (0 skips the empirical check)")
     if "j_hat" in v and not critical:
         _check_coupling_range(config)
+    if config.command == "kernel-verify" and v["trials"]:
+        _check_empirical_size(v["n"])
 
 
 def _check_coupling_range(config: RunConfig):
@@ -331,18 +336,6 @@ def _check_coupling_range(config: RunConfig):
             raise UsageError(f"--j-hat {j!r} is too large for {config.command}: {exc}")
 
 
-def thread_count(config: RunConfig) -> int:
-    if config.values.get("threads"):
-        return max(1, config.values["threads"])
-    env = os.environ.get("ISING_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"invalid ISING_THREADS value {env!r}")
-    return os.cpu_count() or 1
-
-
 def write_csv(path, header, rows, config: RunConfig):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -366,20 +359,16 @@ def _j_label(j) -> str:
 
 
 def _run_cells(units, config: RunConfig) -> list:
-    """Run one Wolff covariance chain per ``(cell, seed, stream)`` unit on the worker pool.
+    """Run one Wolff covariance chain per ``(cell, seed, stream)`` unit, in unit order.
 
-    Each unit owns ``RngStream(seed, stream)``; the ``(CellResult, CovarianceRun)``
-    pairs come back in unit order, whatever the pool's schedule.
+    Each unit owns ``RngStream(seed, stream)``. Returns the
+    ``(CellResult, CovarianceRun)`` pairs in unit order.
     """
-
-    def one(unit):
-        cell, seed, stream = unit
-        params = ModelParams(cell.n, cell.j_hat)
-        run = run_covariance_chain(params, cell.m, WOLFF, RngStream(seed, stream))
-        return evaluate_cell(cell, run, seed, lambda1_tol=config.lambda1_tol), run
-
-    with ThreadPoolExecutor(max_workers=thread_count(config)) as pool:
-        return list(pool.map(one, units))
+    outcomes = []
+    for cell, seed, stream in units:
+        run = run_covariance_chain(ModelParams(cell.n, cell.j_hat), cell.m, WOLFF, RngStream(seed, stream))
+        outcomes.append((evaluate_cell(cell, run, seed, lambda1_tol=config.lambda1_tol), run))
+    return outcomes
 
 
 def _cmd_simulate(config: RunConfig) -> int:

@@ -112,8 +112,14 @@ def glauber_step(config: Configuration, params: ModelParams, rng) -> Configurati
 
 
 def _glauber_flip_probs(j_hat: float) -> np.ndarray:
-    """Heat-bath flip probability of a site with 0, 1 or 2 neighbours aligned with it."""
-    e2, em2 = np.exp(2.0 * j_hat), np.exp(-2.0 * j_hat)
+    """Heat-bath flip probability of a site with 0, 1 or 2 neighbours aligned with it.
+
+    Raises ValueError where e^{2J} overflows a float64 (J above about 354.9).
+    """
+    with np.errstate(over="ignore"):
+        e2, em2 = np.exp(2.0 * j_hat), np.exp(-2.0 * j_hat)
+    if math.isinf(e2):
+        raise ValueError(f"the heat-bath odds e^(2j) overflow a float64 at j_hat={j_hat!r}")
     return np.array([e2 / (e2 + em2), 0.5, em2 / (e2 + em2)])
 
 

@@ -90,6 +90,11 @@ def _check_kernel_size(n: int):
         raise ResourceLimitError(f"dense kernel needs 4^{n} entries; cap is n <= {KERNEL_SITE_LIMIT}")
 
 
+def _check_empirical_size(n: int):
+    if n > 8:
+        raise ResourceLimitError("empirical check enumerates all start states; cap is n <= 8")
+
+
 def _wolff_support(config: Configuration, flipset: FlipSet, params: ModelParams) -> bool:
     """True iff the flip set can carry Wolff mass: connected and spin-aligned in config.
 
@@ -292,8 +297,8 @@ def build_glauber_kernel(params: ModelParams) -> TransitionKernel:
     return TransitionKernel(params=params, kind=GLAUBER, matrix=matrix)
 
 
-def check_detailed_balance(kernel: TransitionKernel, measure: GibbsMeasure, tol: float = 1e-12) -> float:
-    """Max over state pairs of |mu(x)P(x,y) - mu(y)P(y,x)|; pass iff <= tol.
+def check_detailed_balance(kernel: TransitionKernel, measure: GibbsMeasure) -> float:
+    """Max over state pairs of |mu(x)P(x,y) - mu(y)P(y,x)|; callers compare it with their tolerance.
 
     Pairs with P(x,y) = P(y,x) = 0 contribute zero, so the max runs over the
     kernel's nonzero support only.
@@ -453,8 +458,7 @@ def empirical_vs_exact(
     sampler (same law, different RNG consumption). ``states`` restricts the
     start states (default: all of them).
     """
-    if params.n > 8:
-        raise ResourceLimitError("empirical check enumerates all start states; cap is n <= 8")
+    _check_empirical_size(params.n)
     gen = as_generator(rng)
     sampler = _one_step_counts_bulk if method == "bulk" else _one_step_counts_stack
     state_list = range(kernel.size) if states is None else states

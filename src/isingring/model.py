@@ -270,10 +270,17 @@ class GibbsMeasure:
 
 
 def gibbs_measure(params: ModelParams) -> GibbsMeasure:
-    """Tabulate mu_N exactly (normalized by the brute-force sum)."""
+    """Tabulate mu_N exactly (normalized by the brute-force sum).
+
+    Raises ValueError where the weight sum, at most 2^N e^{J N}, overflows a float64.
+    """
     j = params.require_finite("gibbs_measure")
-    weights = np.exp(j * bond_sum_all_states(params.n).astype(np.float64))
-    probs = weights / weights.sum()
+    with np.errstate(over="ignore"):
+        weights = np.exp(j * bond_sum_all_states(params.n).astype(np.float64))
+        total = weights.sum()
+    if math.isinf(total):
+        raise ValueError(f"the Gibbs weight sum overflows a float64 at j_hat={j!r}, n={params.n}")
+    probs = weights / total
     return GibbsMeasure(n=params.n, j_hat=j, probabilities=probs)
 
 

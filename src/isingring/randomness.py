@@ -22,9 +22,6 @@ class RngStream:
         seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.Philox(seq))
 
-    def substream(self, stream: int) -> "RngStream":
-        return RngStream(self.seed, stream)
-
 
 def as_generator(rng) -> np.random.Generator:
     """Accept an RngStream (fresh generator) or a Generator (used in place)."""

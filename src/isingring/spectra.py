@@ -1,6 +1,6 @@
 """Microstate ensembles, the sample covariance/correlation matrices, their
-spectra, Gershgorin bounds, and the condensation experiments contrasting the
-subcritical regime with the critical point.
+spectra, Gershgorin bounds, and the per-cell evaluation of the condensation
+experiment contrasting the subcritical regime with the critical point.
 
 A trajectory Y_1..Y_M becomes the N x M ensemble of unit columns
 X_k = Y_k / sqrt(N); the covariance matrix is X X^T / M (trace 1) and the
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,14 +27,13 @@ from .model import (
 )
 from .clusters import decompose
 from .dynamics import (
-    WOLFF,
     Trajectory,
     _chain_bits,
     decode_states,
     sample_stationary,
 )
 from .functionals import lsi_constant_bound
-from .randomness import RngStream, as_generator
+from .randomness import as_generator
 
 DEFAULT_BATCHES = 20
 
@@ -311,14 +310,6 @@ class CellResult:
         return "inf" if self.j_hat is INFINITE else repr(float(self.j_hat))
 
 
-def run_condensation_cell(cell: ExperimentCell, seed: int, lambda1_tol: float = 0.01, stream: int = 0) -> CellResult:
-    """Run one (n, j_hat, m) cell from one seed and evaluate the predictions."""
-    params = ModelParams(cell.n, cell.j_hat)
-    rng = RngStream(seed, stream)
-    run = run_covariance_chain(params, cell.m, WOLFF, rng)
-    return evaluate_cell(cell, run, seed, lambda1_tol=lambda1_tol)
-
-
 def evaluate_cell(cell: ExperimentCell, run: CovarianceRun, seed: int, lambda1_tol: float = 0.01) -> CellResult:
     """Evaluate the closed-form predictions for an already-run covariance chain."""
     params = ModelParams(cell.n, cell.j_hat)
@@ -347,15 +338,6 @@ def evaluate_cell(cell: ExperimentCell, run: CovarianceRun, seed: int, lambda1_t
         khat_norm_bound=det_bound, thm43_bound=stoch_bound,
         pass_41=pass_41, pass_42=pass_42, pass_43=pass_43,
     )
-
-
-def condensation_experiment(cells: Iterable[ExperimentCell], seeds: Iterable[int], lambda1_tol: float = 0.01) -> list:
-    """Run the grid in deterministic order; one CellResult per (cell, seed)."""
-    results = []
-    for idx, cell in enumerate(list(cells)):
-        for seed in seeds:
-            results.append(run_condensation_cell(cell, seed, lambda1_tol=lambda1_tol, stream=idx))
-    return results
 
 
 CSV_COLUMNS = [

@@ -59,9 +59,10 @@ class TestParsing:
 
     def test_unknown_config_key(self, tmp_path):
         conf = tmp_path / "run.conf"
-        conf.write_text("bogus=1\n")
-        with pytest.raises(UsageError):
-            parse_config(["simulate", "--config", str(conf), "--n", "4", "--j-hat", "0"])
+        for line in ("bogus=1\n", "threads=2\n"):
+            conf.write_text(line)
+            with pytest.raises(UsageError, match="unknown config key"):
+                parse_config(["simulate", "--config", str(conf), "--n", "4", "--j-hat", "0"])
 
     def test_hash_ignores_output_path(self):
         a = parse_config(["hitting", "--n", "6", "--out", "/tmp/a"])
@@ -86,6 +87,7 @@ class TestExitCodes:
         ["spectra", "--n", "64", "--j-hat", "inf", "--m", "100"],
         ["spectra", "--n", "8", "--j-hat", "0.5", "--m", "39"],
         ["sweep", "--j-hat", "0.5", "--n-list", "3,8"],
+        ["sweep", "--j-hat", "0.5", "--n-list", "4", "--threads", "2"],
     ])
     def test_invalid_input_exits_2_with_one_line(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -161,6 +163,18 @@ class TestExitCodes:
         row = next(r for r in rows if r[0] == "wolff_dual_form_disagreement")
         assert float(row[1]) >= 1e-12 and row[2:] == ["1e-15", "0"]
 
+    def test_kernel_verify_trials_above_n_8_exit_3_before_any_work(self, tmp_path, monkeypatch, capsys):
+        from isingring import cli
+
+        def unexpected(params):
+            raise AssertionError("the kernel was built before the size check")
+
+        monkeypatch.setattr(cli, "build_wolff_kernel", unexpected)
+        assert main(["kernel-verify", "--n", "12", "--j-hat", "0.5", "--trials", "10", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: empirical check enumerates all start states; cap is n <= 8\n"
+        assert not any(tmp_path.iterdir())
+
     def test_hitting_passes(self, tmp_path):
         assert main(["hitting", "--n", "7", "--count", "40", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "hitting.csv").read_text().splitlines()
@@ -189,12 +203,25 @@ class TestExitCodes:
 
 
 class TestParallelismAndArtifacts:
-    def test_sweep_byte_identical_across_thread_counts(self, tmp_path):
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        base = ["sweep", "--j-hat", "0.5", "--n-list", "4,6", "--seed", "9", "--replicas", "2"]
-        assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
-        assert main(base + ["--threads", "2", "--out", str(out2)]) == 0
-        assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    @pytest.mark.parametrize("argv, units", [
+        # sweep numbers its units size by size, then seed by seed
+        (["sweep", "--j-hat", "0.5", "--n-list", "4,6", "--seed", "9", "--replicas", "2"],
+         [((4, 0.5, 64), 9), ((4, 0.5, 64), 10), ((6, 0.5, 216), 9), ((6, 0.5, 216), 10)]),
+        (["spectra", "--n", "8", "--j-hat", "inf", "--m", "200", "--seed", "3", "--replicas", "3"],
+         [((8, INFINITE, 200), 3), ((8, INFINITE, 200), 4), ((8, INFINITE, 200), 5)]),
+    ], ids=["sweep", "spectra"])
+    def test_grid_rows_follow_the_unit_stream_map(self, argv, units, tmp_path):
+        from isingring import WOLFF, ExperimentCell, ModelParams, RngStream, evaluate_cell, run_covariance_chain
+        from isingring.spectra import result_row
+
+        main(argv + ["--out", str(tmp_path)])
+        rows = [line.split(",") for line in (tmp_path / f"{argv[0]}.csv").read_text().splitlines()[1:-2]]
+        expected = []
+        for unit, ((n, j, m), seed) in enumerate(units):
+            cell = ExperimentCell(n=n, j_hat=j, m=m)
+            run = run_covariance_chain(ModelParams(n, j), m, WOLFF, RngStream(seed, unit))
+            expected.append(result_row(evaluate_cell(cell, run, seed)))
+        assert rows == expected
 
     def test_spectra_save_matrix_round_trip(self, tmp_path):
         from isingring import read_matrix_dump
@@ -206,19 +233,6 @@ class TestParallelismAndArtifacts:
         n, j, mat = read_matrix_dump(tmp_path / "covariance.bin")
         assert n == 6 and j == 0.5
         assert np.trace(mat) == pytest.approx(1.0, abs=1e-12)
-
-    def test_thread_count_env_fallback(self, monkeypatch):
-        from isingring.cli import thread_count
-
-        config = parse_config(["hitting", "--n", "4"])
-        monkeypatch.setenv("ISING_THREADS", "3")
-        assert thread_count(config) == 3
-        monkeypatch.setenv("ISING_THREADS", "bogus")
-        with pytest.raises(UsageError):
-            thread_count(config)
-        monkeypatch.delenv("ISING_THREADS")
-        explicit = parse_config(["hitting", "--n", "4", "--threads", "5"])
-        assert thread_count(explicit) == 5
 
 
 def test_module_entry_point(tmp_path):

@@ -131,6 +131,12 @@ class TestGlauberStep:
         with pytest.raises(CriticalCouplingError):
             glauber_step(Configuration.all_plus(4), ModelParams(4, INFINITE), RngStream(0))
 
+    def test_heat_bath_odds_overflow_raises_naming_the_coupling(self):
+        # e^{2J} is finite at J = 354 and overflows from about 354.9, where the odds would read inf/inf = NaN
+        assert _glauber_flip_probs(354.0).tolist() == [1.0, 0.5, 0.0]
+        with pytest.raises(ValueError, match=r"j_hat=400\.0"):
+            _glauber_flip_probs(400.0)
+
 
 class TestChains:
     def test_single_step_trajectory_is_initial(self):

@@ -149,6 +149,13 @@ class TestGibbs:
         with pytest.raises(CriticalCouplingError):
             gibbs_probability(Configuration.all_plus(4), ModelParams(4, INFINITE))
 
+    def test_weight_sum_overflow_raises_naming_the_coupling(self):
+        # 2^4 e^{4J} is finite at J = 177 and overflows at J = 200, where the weights would read inf/inf = NaN
+        mu = gibbs_measure(ModelParams(4, 177.0)).probabilities
+        assert mu[0] == mu[15] == 0.5 and mu.sum() == 1.0
+        with pytest.raises(ValueError, match=r"j_hat=200\.0, n=4"):
+            gibbs_measure(ModelParams(4, 200.0))
+
 
 class TestTwoPointCorrelation:
     def test_diagonal(self):

@@ -15,16 +15,15 @@ from isingring import (
     ModelParams,
     RngStream,
     build_ensemble,
-    condensation_experiment,
     correlation_matrix,
     covariance_matrix,
     decompose,
     eigenvalues_symmetric,
+    evaluate_cell,
     exact_limit_covariance,
     gershgorin_norm,
     khat_norm_bound,
     run_chain,
-    run_condensation_cell,
     run_covariance_chain,
     subcritical_norm_bound,
     two_point_correlation,
@@ -243,24 +242,30 @@ class TestCovarianceRuns:
         assert np.all(np.abs(run.matrix - k_hat) <= 4.0 * run.entry_batch_se() + 1e-9)
 
 
+def run_cell(cell, seed):
+    """One grid unit on stream 0, as the first unit of an ``isingring spectra`` run."""
+    run = run_covariance_chain(ModelParams(cell.n, cell.j_hat), cell.m, WOLFF, RngStream(seed, 0))
+    return evaluate_cell(cell, run, seed)
+
+
 class TestCondensationGrid:
     def test_zero_coupling_cell(self):
         cell = ExperimentCell(n=8, j_hat=0.0, m=200000)
-        result = run_condensation_cell(cell, seed=21)
+        result = run_cell(cell, seed=21)
         assert result.pass_41 and result.pass_42 and result.pass_43
         assert abs(result.lambda1 - 1 / 8) <= 0.01
 
     def test_critical_cell(self):
         cell = ExperimentCell(n=16, j_hat=INFINITE, m=1600)
-        result = run_condensation_cell(cell, seed=22)
+        result = run_cell(cell, seed=22)
         assert result.pass_41
         assert result.lambda1 >= 1 - 16 / 1600 - 1e-12
         assert result.lambda2 <= 16 / 1600 + 1e-12
         assert math.isnan(result.thm43_bound)
 
     def test_subcritical_cell_and_rows(self):
-        cells = [ExperimentCell(n=8, j_hat=0.5, m=8**3)]
-        results = condensation_experiment(cells, seeds=[5, 6])
+        cell = ExperimentCell(n=8, j_hat=0.5, m=8**3)
+        results = [run_cell(cell, seed) for seed in (5, 6)]
         assert len(results) == 2
         assert all(r.pass_43 for r in results)
         for r in results:
