@@ -19,8 +19,6 @@ from .model import GibbsMeasure
 from .kernel import SpectralDecomposition, TransitionKernel
 from .randomness import as_generator
 
-SLACK_TOLERANCE = 1e-10
-
 
 def _as_vector(f, size: int) -> np.ndarray:
     arr = np.asarray(f, dtype=np.float64)
@@ -122,12 +120,22 @@ def poincare_constant_bound(j_hat: float, n: int) -> float:
     return lsi_constant_bound(j_hat, n) / 2.0
 
 
+#: A certification passes while rhs - lhs >= -SLACK_TOLERANCE (float64 rounding).
+SLACK_TOLERANCE = 1e-10
+
+
 @dataclass(frozen=True)
 class InequalityReport:
+    """One certification: lhs <= rhs for one test function.
+
+    ``kind`` is "lsi" (Ent(f^2) <= C_LS E(f)) or "poincare"
+    (Var(f) <= C_PI E(f)); ``family`` names where the function came from.
+    """
+
+    family: str
+    kind: str
     lhs: float
     rhs: float
-    constant: float
-    family: str = ""
 
     @property
     def slack(self) -> float:
@@ -145,7 +153,7 @@ def certify_lsi(f, kernel: TransitionKernel, measure: GibbsMeasure, constant: Op
     vec = _as_vector(f, kernel.size)
     lhs = entropy(vec**2, measure)
     rhs = constant * dirichlet_form(vec, kernel, measure)
-    return InequalityReport(lhs=lhs, rhs=rhs, constant=constant, family="lsi")
+    return InequalityReport(family="single", kind="lsi", lhs=lhs, rhs=rhs)
 
 
 def certify_poincare(f, kernel: TransitionKernel, measure: GibbsMeasure, constant: Optional[float] = None) -> InequalityReport:
@@ -155,7 +163,7 @@ def certify_poincare(f, kernel: TransitionKernel, measure: GibbsMeasure, constan
     vec = _as_vector(f, kernel.size)
     lhs = variance(vec, measure)
     rhs = constant * dirichlet_form(vec, kernel, measure)
-    return InequalityReport(lhs=lhs, rhs=rhs, constant=constant, family="poincare")
+    return InequalityReport(family="single", kind="poincare", lhs=lhs, rhs=rhs)
 
 
 def ergodic_l2_bound(j_hat: float, n: int, m: int, f_norm: float) -> tuple:
@@ -280,26 +288,6 @@ def ratio_ascent_adversary(
     return best_vec
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """One certification outcome: (n, j_hat, family, lhs, rhs, slack, pass)."""
-
-    n: int
-    j_hat: float
-    family: str
-    kind: str
-    lhs: float
-    rhs: float
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
-    @property
-    def passed(self) -> bool:
-        return self.slack >= -SLACK_TOLERANCE
-
-
 def certification_sweep(
     kernel: TransitionKernel,
     measure: GibbsMeasure,
@@ -311,11 +299,10 @@ def certification_sweep(
     """Certify the LSI and Poincare inequalities on random + structured functions.
 
     Random functions have i.i.d. standard normal components; the sweep is
-    vectorized (quadratic-form Dirichlet energies). Returns SweepResult rows.
+    vectorized (quadratic-form Dirichlet energies). Returns InequalityReport rows.
     """
     gen = as_generator(rng)
-    params = kernel.params
-    j_hat = params.require_finite("certification_sweep")
+    j_hat = kernel.params.require_finite("certification_sweep")
     n = kernel.n
     c_ls = lsi_constant_bound(j_hat, n)
     c_pi = poincare_constant_bound(j_hat, n)
@@ -336,6 +323,6 @@ def certification_sweep(
         ent = entropy_batch(fs**2, measure)
         var = variance_batch(fs, measure)
         for k in range(fs.shape[0]):
-            results.append(SweepResult(n=n, j_hat=j_hat, family=family, kind="lsi", lhs=float(ent[k]), rhs=float(c_ls * energies[k])))
-            results.append(SweepResult(n=n, j_hat=j_hat, family=family, kind="poincare", lhs=float(var[k]), rhs=float(c_pi * energies[k])))
+            results.append(InequalityReport(family, "lsi", float(ent[k]), float(c_ls * energies[k])))
+            results.append(InequalityReport(family, "poincare", float(var[k]), float(c_pi * energies[k])))
     return results

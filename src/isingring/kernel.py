@@ -332,17 +332,15 @@ class SpectralDecomposition:
         return 1.0 - self.lambda2
 
 
-def symmetrize_and_decompose(
-    kernel: TransitionKernel, measure: GibbsMeasure, reversibility_tol: float = 1e-10
-) -> SpectralDecomposition:
+def symmetrize_and_decompose(kernel: TransitionKernel, measure: GibbsMeasure) -> SpectralDecomposition:
     """Full spectrum of the mu-symmetrized kernel D^{1/2} P D^{-1/2}.
 
-    Requires reversibility (checked first). Ties in the descending eigenvalue
-    order are broken by ascending index; degenerate eigenspaces should be
-    compared as eigenvalue multisets, never via eigenvector identity.
+    Requires reversibility (checked first, to 1e-10). Ties in the descending
+    eigenvalue order are broken by ascending index; degenerate eigenspaces
+    should be compared as eigenvalue multisets, never via eigenvector identity.
     """
     violation = check_detailed_balance(kernel, measure)
-    if violation > reversibility_tol:
+    if violation > 1e-10:
         raise ValueError(f"kernel is not reversible for this measure (violation {violation:.3e})")
     root = np.sqrt(measure.probabilities)
     sym = kernel.matrix * (root[:, None] / root[None, :])
@@ -379,15 +377,19 @@ def hypercube_walk_spectrum(n: int, lazy: bool = False) -> np.ndarray:
     return np.sort(np.array(values))[::-1]
 
 
+Z_MAX = 4.0
+
+
 @dataclass(frozen=True)
 class EmpiricalCheck:
     """Result of comparing one-step sample frequencies against kernel rows.
 
     Multiple-testing rule: per start state, targets with expected count below
-    ``min_expected`` are pooled into a single bucket; z-scores are computed
-    for each kept target and for the pooled bucket; any observed target with
-    exact probability zero is an immediate failure (off_support > 0). The
-    global statistic is the max |z| over all states and buckets.
+    10 are pooled into a single bucket; z-scores are computed for each kept
+    target and for the pooled bucket; any observed target with exact
+    probability zero is an immediate failure (off_support > 0). The global
+    statistic is the max |z| over all states and buckets; it passes at
+    ``Z_MAX``.
     """
 
     max_z: float
@@ -396,8 +398,8 @@ class EmpiricalCheck:
     worst_state: int
     trials: int
 
-    def passes(self, z_max: float = 4.0) -> bool:
-        return self.off_support == 0 and self.max_z <= z_max
+    def passes(self) -> bool:
+        return self.off_support == 0 and self.max_z <= Z_MAX
 
 
 def _one_step_counts_bulk(
@@ -449,7 +451,6 @@ def empirical_vs_exact(
     trials: int,
     rng,
     method: str = "bulk",
-    min_expected: float = 10.0,
     states=None,
 ) -> EmpiricalCheck:
     """Validate the sampler against the kernel: one-step frequencies per start state.
@@ -471,7 +472,7 @@ def empirical_vs_exact(
         counts = sampler(int(s), kernel, trials, gen)
         off_support += int(counts[row == 0.0].sum())
         expected = trials * row
-        keep = expected >= min_expected
+        keep = expected >= 10.0
         z_values = []
         if keep.any():
             p = row[keep]

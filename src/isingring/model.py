@@ -314,9 +314,13 @@ def susceptibility_row_sum(i: int, params: ModelParams) -> float:
 
 
 def susceptibility_closed_form_bound(params: ModelParams) -> float:
-    """The closed-form row-sum bound 1 + 2 tm_plus/(tm_plus - tm_minus) * (t - t^N)/(1 + t^N)."""
+    """The closed-form row sum 1 + 2 sum_{d=1}^{N-1} t^d / (1 + t^N), at most N.
+
+    Algebraically equal to 1 + 2 tm_plus/(tm_plus - tm_minus) (t - t^N)/(1 + t^N),
+    since tm_plus/(tm_plus - tm_minus) = 1/(1 - t); summing the powers avoids
+    the cancellation in t - t^N and 1 - t as t rounds towards 1 at large J.
+    """
     params.require_finite("susceptibility_closed_form_bound")
-    c = derived_constants(params)
-    theta = c.tanh_j
+    theta = derived_constants(params).tanh_j
     n = params.n
-    return 1.0 + (2.0 * c.tm_plus / (c.tm_plus - c.tm_minus)) * (theta - theta**n) / (1.0 + theta**n)
+    return 1.0 + 2.0 * math.fsum(theta**d for d in range(1, n)) / (1.0 + theta**n)

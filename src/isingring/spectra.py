@@ -280,13 +280,16 @@ class ExperimentCell:
     m: int
 
 
+LAMBDA1_TOLERANCE = 0.01
+
+
 @dataclass(frozen=True)
 class CellResult:
     """One grid cell x seed: spectra, norms, bounds, and prediction pass flags.
 
     pass_41: fixed-point spectra: at the critical point lambda1 >= 1 - N/M
-    and lambda2 <= N/M; at j_hat = 0, |lambda1 - 1/N| <= lambda1_tol; vacuous
-    (True) elsewhere.
+    and lambda2 <= N/M; at j_hat = 0, |lambda1 - 1/N| <= LAMBDA1_TOLERANCE;
+    vacuous (True) elsewhere.
     pass_42: subcritical limit: every covariance entry within 4 batch
     standard errors of the exact limit K_hat; vacuous at the critical point.
     pass_43: ||K||_1^2 below the closed-form double-limit bound; vacuous at
@@ -310,7 +313,7 @@ class CellResult:
         return "inf" if self.j_hat is INFINITE else repr(float(self.j_hat))
 
 
-def evaluate_cell(cell: ExperimentCell, run: CovarianceRun, seed: int, lambda1_tol: float = 0.01) -> CellResult:
+def evaluate_cell(cell: ExperimentCell, run: CovarianceRun, seed: int) -> CellResult:
     """Evaluate the closed-form predictions for an already-run covariance chain."""
     params = ModelParams(cell.n, cell.j_hat)
     values = eigenvalues_symmetric(run.matrix, k=2)
@@ -328,7 +331,7 @@ def evaluate_cell(cell: ExperimentCell, run: CovarianceRun, seed: int, lambda1_t
 
     det_bound, stoch_bound = subcritical_norm_bound(params, cell.m)
     j = float(params.j_hat)
-    pass_41 = abs(lam1 - 1.0 / cell.n) <= lambda1_tol if j == 0.0 else True
+    pass_41 = abs(lam1 - 1.0 / cell.n) <= LAMBDA1_TOLERANCE if j == 0.0 else True
     k_hat = exact_limit_covariance(params)
     pass_42 = bool(np.all(np.abs(run.matrix - k_hat) <= 4.0 * run.entry_batch_se() + 1e-9))
     pass_43 = norm1**2 <= stoch_bound + 1e-12

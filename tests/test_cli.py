@@ -49,6 +49,8 @@ class TestParsing:
             parse_config(["sweep", "--j-hat", "0.5", "--n-list", ","])
         with pytest.raises(UsageError):
             parse_config(["hitting", "--n", "70"])
+        with pytest.raises(UsageError, match="exceeds 63"):
+            parse_config(["hitting", "--n", "64"])
 
     def test_config_file_merge_and_override(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -106,10 +108,28 @@ class TestExitCodes:
         ["sweep", "--j-hat", "0.5", "--n-list", "4", "--lambda1-tol"],
     ], ids=["db-tol", "z-max", "slack-tol", "spectra-lambda1-tol", "sweep-lambda1-tol"])
     def test_tolerance_must_be_finite_and_nonnegative(self, argv, value, tmp_path, capsys):
-        assert main(argv + [value, "--out", str(tmp_path)]) == 2
+        # the thresholds are fixed constants; no flag or config key sets them,
+        # whatever the value
+        out = tmp_path / "out"
+        assert main(argv + [value, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: invalid value for {argv[-1]}: ") and err.count("\n") == 1
-        assert not any(tmp_path.iterdir())
+        assert err == f"error: unrecognized arguments: {argv[-1]} {value}\n"
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{argv[-1][2:]}={value}\n")
+        assert main(argv[:-1] + ["--config", str(conf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: unknown config key {argv[-1][2:]!r} for command {argv[0]}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [[], ["simulate"], ["kernel-verify"], ["lsi-verify"], ["spectra"],
+                                      ["hitting"], ["sweep"]], ids=lambda argv: argv[0] if argv else "top")
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["-h"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: isingring")
+        assert "error:" not in captured.out + captured.err
 
     @pytest.mark.parametrize("argv", [
         ["spectra", "--n", "8", "--j-hat", "30", "--m", "100"],
@@ -140,6 +160,7 @@ class TestExitCodes:
         parse_config(["spectra", "--n", "63", "--j-hat", "inf", "--m", "5"])
         parse_config(["sweep", "--j-hat", "0.5", "--n-list", "4,64"])
         parse_config(["hitting", "--n", "6", "--count", "1"])
+        parse_config(["hitting", "--n", "63", "--count", "1"])
         parse_config(["lsi-verify", "--n", "4", "--j-hat", "0.5", "--functions", "0"])
         parse_config(["kernel-verify", "--n", "4", "--j-hat", "0.5", "--trials", "0"])
         parse_config(["lsi-verify", "--n", "14", "--j-hat", "3.6"])
@@ -181,6 +202,12 @@ class TestExitCodes:
         assert lines[0] == "n,replica,ctilde,hit_index,pass"
         assert lines[-1].startswith("# config_hash=")
         assert lines[-2].startswith("# version=")
+
+    def test_hitting_at_the_largest_ring(self, tmp_path):
+        # the uniform start at n = 63 is drawn below 2^63, the top of an int64
+        assert main(["hitting", "--n", "63", "--count", "20", "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "hitting.csv").read_text().splitlines()[1:-2]]
+        assert len(rows) == 20 and all(row[0] == "63" and row[4] == "1" for row in rows)
 
     def test_spectra_critical(self, tmp_path):
         assert main(["spectra", "--n", "8", "--j-hat", "inf", "--m", "200", "--replicas", "2", "--out", str(tmp_path)]) == 0
@@ -233,6 +260,22 @@ class TestParallelismAndArtifacts:
         n, j, mat = read_matrix_dump(tmp_path / "covariance.bin")
         assert n == 6 and j == 0.5
         assert np.trace(mat) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_benchmark_command_lines_parse(tmp_path):
+    # the benchmark runs these command lines against the package; a flag they
+    # pass that the cli drops would otherwise only show up as failed operations
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    lines = [argv for table in (workloads.WORKLOADS, workloads.TINY_WORKLOADS)
+             for commands in table.values() for argv in commands]
+    assert lines
+    for argv in lines:
+        config = parse_config(argv + ["--seed", "0", "--out", str(tmp_path)])
+        assert config.command == argv[0]
 
 
 def test_module_entry_point(tmp_path):

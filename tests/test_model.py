@@ -201,8 +201,14 @@ class TestSusceptibility:
     def test_bounds(self, n, j):
         p = ModelParams(n, j)
         value = susceptibility_row_sum(1, p)
-        assert value <= susceptibility_closed_form_bound(p) + 1e-12
+        assert value == pytest.approx(susceptibility_closed_form_bound(p), rel=0, abs=1e-12)
         assert value <= math.exp(2 * j) + 1e-12
+
+    @pytest.mark.parametrize("j", [10.0, 15.0, 18.7, 19.0, 30.0])
+    def test_closed_form_at_large_coupling_stays_at_most_n(self, j):
+        # tanh J rounds to 1 here; the row sum tends to N from below
+        value = susceptibility_closed_form_bound(ModelParams(8, j))
+        assert math.isfinite(value) and 7.9 < value <= 8 * (1 + 1e-15)
 
     def test_brute_force_cross_check(self):
         p = ModelParams(8, 0.5)

@@ -28,7 +28,8 @@ from isingring import (
     subcritical_norm_bound,
     two_point_correlation,
 )
-from isingring.spectra import result_row, CSV_COLUMNS
+from isingring.dynamics import INVERSE_CDF_SITE_LIMIT
+from isingring.spectra import ACCUMULATE_BLOCK, CSV_COLUMNS, result_row
 
 import _oracles as oracle
 
@@ -234,6 +235,18 @@ class TestCovarianceRuns:
         assert run.batch_matrices.shape[0] == 20
         np.testing.assert_allclose(run.batch_matrices.mean(axis=0), run.matrix, atol=1e-12)
         assert run.norm1_batch_se >= 0.0
+
+    @pytest.mark.parametrize("kind", [WOLFF, GLAUBER])
+    @pytest.mark.parametrize("n", [4, 16, 24])
+    def test_streaming_matches_the_stored_ensemble(self, n, kind):
+        # both paths draw the stationary start, then step the same chain; n = 24
+        # starts past the inverse-CDF sampler and m crosses an accumulation block
+        params = ModelParams(n, 0.5)
+        m = 10007
+        assert m > ACCUMULATE_BLOCK and 16 <= INVERSE_CDF_SITE_LIMIT < 24
+        run = run_covariance_chain(params, m, kind, RngStream(15, n))
+        traj = run_chain(InitialLaw.stationary(), m, kind, params, RngStream(15, n))
+        np.testing.assert_allclose(run.matrix, covariance_matrix(build_ensemble(traj)), rtol=0, atol=1e-13)
 
     def test_simulated_covariance_matches_exact_limit_entrywise(self):
         params = ModelParams(8, 0.5)
