@@ -4,7 +4,10 @@ closed-form ergodic-average error bounds.
 
 Functions on the configuration space are plain length-2^N float vectors in
 binary state order. Single Dirichlet energies sum over the kernel's nonzero
-support (``TransitionKernel.support``), not over all 4^N state pairs.
+support (``TransitionKernel.support``), not over all 4^N state pairs. The
+ratio-ascent adversary calls ``dirichlet_form`` once per restart and scores
+each one-coordinate trial move from a symmetric off-diagonal weight table
+built once per call, in O(row degree).
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ def dirichlet_form_batch(fs: np.ndarray, kernel: TransitionKernel, measure: Gibb
     return np.einsum("rx,x,rx->r", fs, mu, resid)
 
 
+def _xlogx(arr: np.ndarray) -> np.ndarray:
+    """Elementwise x log x for nonnegative x, with 0 log 0 = 0."""
+    return np.where(arr > 0, arr * np.log(np.where(arr > 0, arr, 1.0)), 0.0)
+
+
 def entropy(f, measure: GibbsMeasure) -> float:
     """Ent(f) = E[f log f] - E[f] log E[f] for nonnegative f, with 0 log 0 = 0.
 
@@ -63,7 +71,7 @@ def entropy(f, measure: GibbsMeasure) -> float:
     if (vec < 0).any():
         raise ValueError("entropy requires a nonnegative function")
     mu = measure.probabilities
-    flogf = np.where(vec > 0, vec * np.log(np.where(vec > 0, vec, 1.0)), 0.0)
+    flogf = _xlogx(vec)
     mean = float(vec @ mu)
     if mean == 0.0:
         return 0.0
@@ -74,7 +82,7 @@ def entropy_batch(fs: np.ndarray, measure: GibbsMeasure) -> np.ndarray:
     if (fs < 0).any():
         raise ValueError("entropy requires nonnegative functions")
     mu = measure.probabilities
-    flogf = np.where(fs > 0, fs * np.log(np.where(fs > 0, fs, 1.0)), 0.0)
+    flogf = _xlogx(fs)
     means = fs @ mu
     out = flogf @ mu
     pos = means > 0
@@ -241,6 +249,66 @@ def structured_test_functions(decomposition: SpectralDecomposition, n: int) -> l
     return out
 
 
+#: Coordinate step of the ratio-ascent adversary's trial moves.
+ADVERSARY_STEP = 0.25
+
+
+def _pair_weights(kernel: TransitionKernel, measure: GibbsMeasure) -> tuple:
+    """CSR rows (indptr, cols, weights) of W_xy = (mu_x P(x,y) + mu_y P(y,x))/2, x != y.
+
+    E(f) is the sum over unordered pairs {x, y} of W_xy (f(x)-f(y))^2, so row
+    x holds every term that a change of f(x) moves. Self-loops are dropped,
+    since (f(x)-f(x))^2 = 0, and no reversibility is assumed.
+    """
+    size = kernel.size
+    src, dst, prob = kernel.support
+    off = src != dst
+    src, dst = src[off], dst[off]
+    half = 0.5 * measure.probabilities[src] * prob[off]
+    keys, inverse = np.unique(np.concatenate([src * size + dst, dst * size + src]), return_inverse=True)
+    weights = np.bincount(inverse, weights=np.concatenate([half, half]))
+    indptr = np.searchsorted(keys // size, np.arange(size + 1))
+    return indptr, keys % size, weights
+
+
+def _score_sums(vec: np.ndarray, energy: float, mu: np.ndarray) -> tuple:
+    """(E(v), sum mu v, sum mu v^2, sum mu v^2 log v^2) for a given energy E(v)."""
+    sq = vec * vec
+    return energy, float(vec @ mu), float(sq @ mu), float(_xlogx(sq) @ mu)
+
+
+def _square_log(t: float) -> float:
+    sq = t * t
+    return sq * math.log(sq) if sq > 0 else 0.0
+
+
+def _moved_sums(sums: tuple, vec: np.ndarray, x: int, delta: float, rows: tuple, mu: np.ndarray) -> tuple:
+    """``_score_sums`` of ``vec`` with vec[x] += delta, in O(deg x) from ``sums``."""
+    energy, mean, square, square_log = sums
+    indptr, cols, weights = rows
+    lo, hi = indptr[x], indptr[x + 1]
+    old = float(vec[x])
+    new = old + delta
+    m = float(mu[x])
+    d_energy = float(weights[lo:hi] @ (2.0 * delta * (old - vec[cols[lo:hi]]) + delta * delta))
+    return (
+        energy + d_energy,
+        mean + m * delta,
+        square + m * (new * new - old * old),
+        square_log + m * (_square_log(new) - _square_log(old)),
+    )
+
+
+def _score(sums: tuple, target: str) -> float:
+    """Ent(v^2)/E(v) or Var(v)/E(v); both are invariant under v -> c v."""
+    energy, mean, square, square_log = sums
+    if energy <= 1e-14 * square:
+        return -math.inf
+    if target == "lsi":
+        return (square_log - square * math.log(square)) / energy
+    return (square - mean * mean) / energy
+
+
 def ratio_ascent_adversary(
     kernel: TransitionKernel,
     measure: GibbsMeasure,
@@ -248,40 +316,59 @@ def ratio_ascent_adversary(
     target: str = "lsi",
     restarts: int = 100,
     sweeps: int = 40,
-    step: float = 0.25,
 ) -> np.ndarray:
     """Coordinate-ascent local search for a function with a large lhs/rhs ratio.
+
+    Each restart draws a normalised Gaussian vector; each sweep draws one
+    coordinate and accepts the first of the moves +-ADVERSARY_STEP that
+    raises Ent(f^2)/E(f) (``target="lsi"``) or Var(f)/E(f)
+    (``target="poincare"``), then renormalises to E[f^2] = 1. The best
+    vector over the restarts is returned.
+
+    ``dirichlet_form`` runs once per restart. A trial move is scored in
+    O(deg x) from a symmetric off-diagonal weight table built once per call
+    and four running sums (energy, E[f], E[f^2], E[f^2 log f^2]); an
+    accepted move recomputes the last three in O(2^N). Trials are scored
+    unnormalised, since both ratios are invariant under f -> c f. The moves
+    are those of a search that renormalises and evaluates every trial in
+    full, except on near-ties below one rounding unit: these appear once the
+    smallest Gibbs weight is below about 2e-16 of the largest.
+
+    Raises ValueError, before any draw, for an unknown ``target``,
+    ``restarts < 1`` or ``sweeps < 0``.
 
     This is not a certified optimum (the exact log-Sobolev constant is out of
     scope); it only supplies adversarial inputs for one-sided certification.
     """
+    if target not in ("lsi", "poincare"):
+        raise ValueError(f"target must be 'lsi' or 'poincare', got {target!r}")
+    if restarts < 1:
+        raise ValueError(f"need restarts >= 1, got {restarts}")
+    if sweeps < 0:
+        raise ValueError(f"need sweeps >= 0, got {sweeps}")
     gen = as_generator(rng)
     mu = measure.probabilities
     size = kernel.size
-
-    def ratio(vec: np.ndarray) -> float:
-        energy = dirichlet_form(vec, kernel, measure)
-        if energy <= 1e-14:
-            return -math.inf
-        if target == "lsi":
-            return entropy(vec**2, measure) / energy
-        return variance(vec, measure) / energy
+    rows = _pair_weights(kernel, measure)
 
     best_vec = gen.standard_normal(size)
     best_ratio = -math.inf
     for _ in range(restarts):
         vec = gen.standard_normal(size)
         vec /= math.sqrt(float(vec**2 @ mu))
-        current = ratio(vec)
+        sums = _score_sums(vec, dirichlet_form(vec, kernel, measure), mu)
+        current = _score(sums, target)
         for _ in range(sweeps):
             x = int(gen.integers(size))
-            for delta in (step, -step):
-                trial = vec.copy()
-                trial[x] += delta
-                trial /= math.sqrt(float(trial**2 @ mu))
-                r = ratio(trial)
+            for delta in (ADVERSARY_STEP, -ADVERSARY_STEP):
+                moved = _moved_sums(sums, vec, x, delta, rows, mu)
+                r = _score(moved, target)
                 if r > current:
-                    vec, current = trial, r
+                    vec[x] += delta
+                    norm2 = float(vec**2 @ mu)
+                    vec /= math.sqrt(norm2)
+                    sums = _score_sums(vec, moved[0] / norm2, mu)
+                    current = r
                     break
         if current > best_ratio:
             best_ratio, best_vec = current, vec

@@ -2,7 +2,9 @@
 
 Everything here works on plain spin tuples or dense arrays with direct
 enumeration and no shared code with the package internals, so oracle
-agreement is meaningful.
+agreement is meaningful. The one exception is ``full_ratio_ascent_adversary``,
+which checks how the package's search scores its moves, not the functionals
+it scores them with.
 """
 
 import itertools
@@ -212,3 +214,50 @@ def roll_cumprod_wolff_step_many(spins, bond_prob, gen):
     rel = (offsets[None, :] - seeds[:, None]) % n
     in_cluster = (rel <= ext_right[:, None]) | (rel >= (n - ext_left)[:, None])
     return np.where(in_cluster, -spins, spins)
+
+
+def full_ratio_ascent_adversary(kernel, measure, rng, target="lsi", restarts=100, sweeps=40):
+    """The ratio-ascent search with every trial renormalised and scored in full.
+
+    Each trial copies the vector, moves one coordinate by +-0.25,
+    renormalises to E[f^2] = 1 and recomputes ``dirichlet_form``, ``entropy``
+    and ``variance`` over the whole state space. It draws from ``rng`` in the
+    same order as ``functionals.ratio_ascent_adversary``, which must return
+    the same vector bit for bit. Unlike the rest of this module it calls the
+    package's single-function functionals, so that the two searches differ
+    only in how a trial is scored.
+    """
+    from isingring.functionals import dirichlet_form, entropy, variance
+    from isingring.randomness import as_generator
+
+    gen = as_generator(rng)
+    mu = measure.probabilities
+    size = kernel.size
+
+    def ratio(vec):
+        energy = dirichlet_form(vec, kernel, measure)
+        if energy <= 1e-14:
+            return -math.inf
+        if target == "lsi":
+            return entropy(vec**2, measure) / energy
+        return variance(vec, measure) / energy
+
+    best_vec = gen.standard_normal(size)
+    best_ratio = -math.inf
+    for _ in range(restarts):
+        vec = gen.standard_normal(size)
+        vec /= math.sqrt(float(vec**2 @ mu))
+        current = ratio(vec)
+        for _ in range(sweeps):
+            x = int(gen.integers(size))
+            for delta in (0.25, -0.25):
+                trial = vec.copy()
+                trial[x] += delta
+                trial /= math.sqrt(float(trial**2 @ mu))
+                r = ratio(trial)
+                if r > current:
+                    vec, current = trial, r
+                    break
+        if current > best_ratio:
+            best_ratio, best_vec = current, vec
+    return best_vec

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from isingring import INFINITE
+from isingring import INFINITE, __version__
 from isingring.cli import RunConfig, main, parse_config, parse_j_hat, UsageError
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -291,3 +292,33 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "PASS" in result.stdout
+
+
+# sha256 of lsi-verify.csv without its "# version=" line, written by version
+# 0.4.0 and unchanged at GOLDEN_VERSION. A change to the arithmetic of the
+# certification sweep or its adversary moves them: bump the version, then
+# renew GOLDEN_VERSION and the hashes together.
+GOLDEN_VERSION = "0.5.0"
+GOLDEN_LSI_VERIFY = [
+    (["--n", "8", "--j-hat", "1.0", "--functions", "200"], 0,
+     "569cf1f61597448cfbcc8348cecab90580decd25c62273955fbcc8d3e1dcf0c3"),
+    (["--n", "8", "--j-hat", "1.0", "--functions", "200"], 7,
+     "a81a99b44b08f095bd28f5939c64d2d824fc7206d41edd2639181b3d8ea6aa96"),
+    (["--n", "10", "--j-hat", "0.5", "--functions", "2000"], 0,
+     "22f3ba79c965dec49955199a88528cf4e14c07121edaa1b28fcc92c114e92e3d"),
+    (["--n", "10", "--j-hat", "0.5", "--functions", "2000"], 7,
+     "bd744e5f630ca1bd4a5ea82aa59b3820a0849a12321b30895c5ec46fa97e6f23"),
+]
+
+
+class TestGoldenCsv:
+    def test_hashes_belong_to_this_version(self):
+        assert __version__ == GOLDEN_VERSION, "renew GOLDEN_LSI_VERIFY for the new version"
+
+    @pytest.mark.parametrize("argv, seed, digest", GOLDEN_LSI_VERIFY,
+                             ids=[f"n{argv[1]}-seed{seed}" for argv, seed, _ in GOLDEN_LSI_VERIFY])
+    def test_lsi_verify_csv(self, tmp_path, argv, seed, digest):
+        assert main(["lsi-verify", *argv, "--seed", str(seed), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "lsi-verify.csv").read_bytes().splitlines(keepends=True)
+        assert lines[-2] == f"# version={__version__}\n".encode()
+        assert hashlib.sha256(b"".join(lines[:-2] + lines[-1:])).hexdigest() == digest

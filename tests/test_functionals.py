@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingring import (
     ModelParams,
@@ -12,6 +14,7 @@ from isingring import (
     certify_lsi,
     certify_poincare,
     character_function,
+    check_detailed_balance,
     dirichlet_form,
     entropy,
     ergodic_l2_bound,
@@ -25,7 +28,16 @@ from isingring import (
     two_point_correlation,
     variance,
 )
-from isingring.functionals import dirichlet_form_batch, entropy_batch, ratio_ascent_adversary, variance_batch
+from isingring.functionals import (
+    _moved_sums,
+    _pair_weights,
+    _score_sums,
+    dirichlet_form_batch,
+    entropy_batch,
+    ratio_ascent_adversary,
+    variance_batch,
+)
+from isingring.kernel import TransitionKernel
 
 import _oracles as oracle
 
@@ -262,6 +274,84 @@ class TestCertification:
         gen = np.random.default_rng(7)
         for _ in range(50):
             assert certify_poincare(gen.standard_normal(32), kernel, measure, constant=constant).passed
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_and_measure(kind, n, j):
+    """A Wolff or Glauber kernel, or a Wolff kernel doctored to break detailed
+    balance: its support entries are scaled by random factors, rows renormalised."""
+    params = ModelParams(n, j)
+    measure = gibbs_measure(params)
+    if kind == "glauber":
+        return build_glauber_kernel(params), measure
+    kernel = build_wolff_kernel(params)
+    if kind == "wolff":
+        return kernel, measure
+    matrix = kernel.matrix * np.random.default_rng(n).uniform(0.5, 1.5, kernel.matrix.shape)
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    return TransitionKernel(params=params, kind="wolff", matrix=matrix), measure
+
+
+class TestRatioAscentAdversary:
+    @pytest.mark.parametrize("kind", ["wolff", "glauber"])
+    @pytest.mark.parametrize("n, j", [(2, 0.5), (3, 0.0), (5, 0.3), (6, 1.0), (8, 0.25)])
+    @pytest.mark.parametrize("target", ["lsi", "poincare"])
+    def test_matches_full_evaluation_oracle(self, kind, n, j, target):
+        # the search scores trials incrementally but must take the same moves
+        # as the one that renormalises and re-evaluates every trial in full;
+        # the Glauber kernel is lazy, so this also covers self-loops
+        kernel, measure = kernel_and_measure(kind, n, j)
+        for seed in range(3):
+            fast = ratio_ascent_adversary(kernel, measure, RngStream(seed, 40), target=target, restarts=20, sweeps=30)
+            full = oracle.full_ratio_ascent_adversary(kernel, measure, RngStream(seed, 40), target=target,
+                                                      restarts=20, sweeps=30)
+            np.testing.assert_array_equal(fast, full)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["wolff", "glauber", "doctored"]),
+        n=st.integers(2, 6),
+        j=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        delta=st.sampled_from([0.25, -0.25]),
+    )
+    def test_incremental_sums_match_full_recomputation(self, kind, n, j, seed, delta):
+        kernel, measure = kernel_and_measure(kind, n, j)
+        mu = measure.probabilities
+        gen = np.random.default_rng(seed)
+        vec = gen.standard_normal(kernel.size)
+        x = int(gen.integers(kernel.size))
+        sums = _score_sums(vec, dirichlet_form(vec, kernel, measure), mu)
+        energy, mean, square, square_log = _moved_sums(sums, vec, x, delta, _pair_weights(kernel, measure), mu)
+        moved = vec.copy()
+        moved[x] += delta
+        assert energy == pytest.approx(dirichlet_form(moved, kernel, measure), rel=1e-12)
+        assert square_log - square * math.log(square) == pytest.approx(entropy(moved**2, measure), rel=1e-12)
+        assert square - mean * mean == pytest.approx(variance(moved, measure), rel=1e-12)
+
+    def test_doctored_kernel_is_not_reversible(self):
+        kernel, measure = kernel_and_measure("doctored", 4, 0.3)
+        assert check_detailed_balance(kernel, measure) > 1e-3
+
+    @pytest.mark.parametrize("kwargs", [
+        {"target": "LSI"},
+        {"target": "entropy"},
+        {"restarts": 0},
+        {"restarts": -1},
+        {"sweeps": -1},
+    ])
+    def test_rejects_bad_arguments_before_drawing(self, setup_n6, kwargs):
+        _, kernel, measure = setup_n6
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError):
+            ratio_ascent_adversary(kernel, measure, gen, **kwargs)
+        assert gen.bit_generator.state == state
+
+    def test_zero_sweeps_returns_a_normalised_restart(self, setup_n6):
+        _, kernel, measure = setup_n6
+        adv = ratio_ascent_adversary(kernel, measure, RngStream(34), restarts=3, sweeps=0)
+        assert float(adv**2 @ measure.probabilities) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestErgodicBounds:
