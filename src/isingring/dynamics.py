@@ -9,12 +9,15 @@ as the reference oracle:
   to truncated-geometric extensions right and left of a uniform seed:
   extending by g sites within the seed's component has probability
   bond_prob^g * bond_miss below the cap and bond_prob^cap at it. The law is
-  written once on bit-packed states: ``_wolff_arc_bits`` on Python ints (any
+  written once on bit-packed states: ``_wolff_arc_block`` on Python ints (any
   n) and its uint64 twin ``_arc_runs`` + ``_arc_flip_masks`` (n <= 64). RNG
   consumption per step: one integer plus two uniforms, drawn in blocks of
   seeds, then right uniforms, then left uniforms (``_arc_draws``). Chains
-  step through ``_chain_bits``; ``wolff_step_many`` and the kernel's bulk
-  one-step sampler draw one block per call and use the twin.
+  (``_chain_bits``) draw one block of up to ``CHAIN_DRAW_BLOCK`` steps at a
+  time and step it in one tight loop; ``hitting_time_aligned`` draws one
+  block and steps it lazily, stopping at the first aligned state.
+  ``wolff_step_many`` and the kernel's bulk one-step sampler draw one block
+  per call and use the twin.
 
 * ``wolff_step`` is the reference stack algorithm: grow the cluster from a
   uniformly chosen seed, testing each ring bond at most once (visited-bond
@@ -28,11 +31,13 @@ kernel; see tests), but they consume randomness differently, so trajectories
 are only reproducible within one of them.
 
 Glauber paths read one heat-bath table, ``_glauber_flip_probs``; chains draw
-sites, then uniforms, in the Wolff blocks, and ``glauber_step`` is the reference.
+sites, then uniforms, in the Wolff blocks and step each block in one tight
+loop (``_glauber_block``), and ``glauber_step`` is the reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -40,7 +45,6 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .model import (
-    INFINITE,
     Configuration,
     ModelParams,
     ResourceLimitError,
@@ -108,7 +112,7 @@ def glauber_step(config: Configuration, params: ModelParams, rng) -> Configurati
         raise ValueError("configuration and params sizes differ")
     gen = as_generator(rng)
     site = int(gen.integers(params.n))
-    return Configuration(_glauber_flip_bits(config.bits, site, gen.random(), params.n, flip_probs), params.n)
+    return Configuration(_glauber_block(config.bits, (site,), (gen.random(),), params.n, flip_probs)[0], params.n)
 
 
 def _glauber_flip_probs(j_hat: float) -> np.ndarray:
@@ -123,11 +127,23 @@ def _glauber_flip_probs(j_hat: float) -> np.ndarray:
     return np.array([e2 / (e2 + em2), 0.5, em2 / (e2 + em2)])
 
 
-def _glauber_flip_bits(bits: int, site: int, u: float, n: int, flip_probs) -> int:
-    """Heat-bath update of 0-based ``site`` with uniform ``u`` on a bit-packed state."""
-    s = (bits >> site) & 1
-    aligned = (((bits >> ((site - 1) % n)) & 1) == s) + (((bits >> ((site + 1) % n)) & 1) == s)
-    return bits ^ (1 << site) if u < flip_probs[aligned] else bits
+def _glauber_block(bits: int, sites, us, n: int, flip_probs) -> list:
+    """Heat-bath updates of 0-based ``sites`` with uniforms ``us``, in turn, from ``bits``.
+
+    Returns the state after each update. Any n; ``flip_probs`` as from
+    ``_glauber_flip_probs``.
+    """
+    top = n - 1
+    out = []
+    append = out.append
+    for site, u in zip(sites, us):
+        s = (bits >> site) & 1
+        left = (bits >> (site - 1 if site else top)) & 1
+        right = (bits >> (site + 1 if site < top else 0)) & 1
+        if u < flip_probs[(left == s) + (right == s)]:
+            bits ^= 1 << site
+        append(bits)
+    return out
 
 
 def _truncated_geometric(u: np.ndarray, bond_prob: float, n: int) -> np.ndarray:
@@ -149,29 +165,43 @@ def _arc_draws(gen: np.random.Generator, count: int, n: int, bond_prob: float) -
     return seeds, g_right, g_left
 
 
-def _wolff_arc_bits(bits: int, seed: int, g_right: int, g_left: int, n: int) -> int:
-    """The Wolff arc law on one bit-packed state, for any n.
+def _wolff_arc_block(bits: int, seeds, g_rights, g_lefts, n: int) -> list:
+    """The Wolff arc law, one step per draw in turn from ``bits``, for any n.
 
-    Bond b joins sites b and b+1 (mod n). With the aligned-bond mask rotated
-    so bond ``seed`` sits at bit 0, the right run is its trailing ones and
-    the left run (bond seed-1 at bit n-1) its leading ones. The flipped arc
-    extends min(g_right, run_r, n-1) sites right of the seed and
-    min(g_left, run_l, n-1-ext_r) sites left of it.
+    Returns the state after each step. Bond b joins sites b and b+1 (mod n).
+    With the aligned-bond mask rotated so bond ``seed`` sits at bit 0, the
+    right run is its trailing ones and the left run (bond seed-1 at bit n-1)
+    its leading ones. The flipped arc extends min(g_right, run_r, n-1) sites
+    right of the seed and min(g_left, run_l, n-1-ext_r) sites left of it.
     """
     full = (1 << n) - 1
-    aligned = ~(bits ^ ((bits >> 1) | ((bits & 1) << (n - 1)))) & full
-    rotated = ((aligned >> seed) | (aligned << (n - seed))) & full
-    run_r = (rotated & ~(rotated + 1)).bit_count()
-    run_l = n - (rotated ^ full).bit_length()
-    ext_r = min(g_right, run_r, n - 1)
-    ext_l = min(g_left, run_l, n - 1 - ext_r)
-    start = (seed - ext_l) % n
-    arc = (1 << (ext_l + ext_r + 1)) - 1
-    return bits ^ (((arc << start) | (arc >> (n - start))) & full)
+    top = n - 1
+    out = []
+    append = out.append
+    for seed, g_right, g_left in zip(seeds, g_rights, g_lefts):
+        aligned = bits ^ ((bits >> 1) | ((bits & 1) << top)) ^ full
+        rotated = ((aligned >> seed) | (aligned << (n - seed))) & full
+        ext_r = (rotated ^ (rotated + 1)).bit_length() - 1  # run_r
+        if g_right < ext_r:
+            ext_r = g_right
+        if ext_r > top:
+            ext_r = top
+        ext_l = n - (rotated ^ full).bit_length()  # run_l
+        if g_left < ext_l:
+            ext_l = g_left
+        if ext_l > top - ext_r:
+            ext_l = top - ext_r
+        start = seed - ext_l
+        if start < 0:
+            start += n
+        arc = (1 << (ext_l + ext_r + 1)) - 1
+        bits ^= ((arc << start) | (arc >> (n - start))) & full
+        append(bits)
+    return out
 
 
 def _arc_runs(states: np.ndarray, seeds: np.ndarray, n: int) -> tuple:
-    """uint64 twin of the run lengths in ``_wolff_arc_bits`` (n <= 64)."""
+    """uint64 twin of the run lengths in ``_wolff_arc_block`` (n <= 64)."""
     one, full = np.uint64(1), np.uint64((1 << n) - 1)
     s = np.asarray(states, dtype=np.uint64)
     shift = np.asarray(seeds).astype(np.uint64)
@@ -185,7 +215,7 @@ def _arc_runs(states: np.ndarray, seeds: np.ndarray, n: int) -> tuple:
 
 
 def _arc_flip_masks(seeds, g_right, g_left, run_r, run_l, n: int) -> np.ndarray:
-    """uint64 twin of the extents and the flipped arc in ``_wolff_arc_bits``.
+    """uint64 twin of the extents and the flipped arc in ``_wolff_arc_block``.
 
     Updates a few buffers in place: on trial-sized arrays, fresh temporaries
     cost more in page faults than the arithmetic does.
@@ -337,12 +367,15 @@ def encode_spins(spins: np.ndarray) -> np.ndarray:
 
 
 def _chain_bits(bits: int, states: int, kind: str, params: ModelParams, gen: np.random.Generator) -> Iterator[int]:
-    """Yield ``states`` bit-packed chain states: ``bits`` itself, then one per step.
+    """Iterate over ``states`` bit-packed chain states: ``bits`` itself, then one per step.
 
     Both dynamics pre-draw blocks of at most ``CHAIN_DRAW_BLOCK`` steps, cut
-    at the steps remaining, so a chain consumes exactly its own steps' draws:
-    Wolff steps run the scalar arc law on ``_arc_draws`` blocks, Glauber steps
-    the heat-bath rule on blocks of sites, then uniforms, as ``glauber_step_many``.
+    at the steps remaining, so a chain consumes exactly its own steps' draws.
+    A block is drawn and stepped in one tight loop when the first of its
+    states is asked for: Wolff blocks by ``_wolff_arc_block`` on ``_arc_draws``,
+    Glauber blocks by ``_glauber_block`` on sites, then uniforms, as
+    ``glauber_step_many``. The states come out of a list, so ``np.fromiter``
+    pulls them at C speed.
     """
     if kind not in (WOLFF, GLAUBER):
         raise ValueError(f"unknown dynamics kind {kind!r}")
@@ -351,17 +384,20 @@ def _chain_bits(bits: int, states: int, kind: str, params: ModelParams, gen: np.
         flip_probs = _glauber_flip_probs(params.require_finite("Glauber dynamics")).tolist()
     else:
         bond_prob = derived_constants(params).bond_prob
-    yield bits
-    for done in range(0, states - 1, CHAIN_DRAW_BLOCK):
-        count = min(CHAIN_DRAW_BLOCK, states - 1 - done)
-        if kind == GLAUBER:
-            for site, u in zip(gen.integers(0, n, size=count).tolist(), gen.random(count).tolist()):
-                bits = _glauber_flip_bits(bits, site, u, n, flip_probs)
-                yield bits
-        else:
-            for seed, g_right, g_left in zip(*(d.tolist() for d in _arc_draws(gen, count, n, bond_prob))):
-                bits = _wolff_arc_bits(bits, seed, g_right, g_left, n)
-                yield bits
+
+    def blocks():
+        last = bits
+        for done in range(0, states - 1, CHAIN_DRAW_BLOCK):
+            count = min(CHAIN_DRAW_BLOCK, states - 1 - done)
+            if kind == GLAUBER:
+                sites = gen.integers(0, n, size=count).tolist()
+                block = _glauber_block(last, sites, gen.random(count).tolist(), n, flip_probs)
+            else:
+                block = _wolff_arc_block(last, *(d.tolist() for d in _arc_draws(gen, count, n, bond_prob)), n)
+            last = block[-1]
+            yield block
+
+    return itertools.chain((bits,), itertools.chain.from_iterable(blocks()))
 
 
 def iter_chain(initial: InitialLaw, steps: int, kind: str, params: ModelParams, rng) -> Iterator[Configuration]:
@@ -414,12 +450,19 @@ def hitting_time_aligned(initial: Configuration, rng) -> int:
     Y_1 = initial, so an aligned start returns 1. For a non-aligned start the
     chain merges exactly one component pair per step, so the value is the
     initial plus-component count + 1 (deterministic even though the path is
-    random).
+    random). The chain's n + 1 steps are drawn as one block, as ``_chain_bits``
+    draws a chain of n + 2 states, but stepped one at a time, so stepping
+    stops at the first aligned state.
     """
+    gen = as_generator(rng)
     n = initial.n
     full = (1 << n) - 1
-    chain = _chain_bits(initial.bits, n + 2, WOLFF, ModelParams(n, INFINITE), as_generator(rng))
-    for k, bits in enumerate(chain, start=1):
+    bits = initial.bits
+    if bits == 0 or bits == full:
+        return 1
+    draws = _arc_draws(gen, n + 1, n, 1.0)  # every aligned bond opens at the critical point
+    for k, (seed, g_right, g_left) in enumerate(zip(*(d.tolist() for d in draws)), start=2):
+        bits = _wolff_arc_block(bits, (seed,), (g_right,), (g_left,), n)[0]
         if bits == 0 or bits == full:
             return k
     # cannot happen: at most n/2 merges are needed

@@ -2,9 +2,10 @@
 
 Everything here works on plain spin tuples or dense arrays with direct
 enumeration and no shared code with the package internals, so oracle
-agreement is meaningful. The one exception is ``full_ratio_ascent_adversary``,
+agreement is meaningful. The exceptions are ``full_ratio_ascent_adversary``,
 which checks how the package's search scores its moves, not the functionals
-it scores them with.
+it scores them with, and ``per_step_chain_bits``, the package's chain
+arithmetic before its block loops, which checks them bit for bit.
 """
 
 import itertools
@@ -214,6 +215,62 @@ def roll_cumprod_wolff_step_many(spins, bond_prob, gen):
     rel = (offsets[None, :] - seeds[:, None]) % n
     in_cluster = (rel <= ext_right[:, None]) | (rel >= (n - ext_left)[:, None])
     return np.where(in_cluster, -spins, spins)
+
+
+def per_step_chain_bits(bits, states, kind, n, law, gen):
+    """``states`` bit-packed chain states from ``bits``, one function call per step.
+
+    The chain as the package stepped it before its block loops: draw blocks
+    of at most 4096 steps, cut at the steps remaining; a Wolff block (``law``
+    is the bond probability) draws seeds, then right, then left truncated-
+    geometric extensions and applies the scalar arc law per state; a Glauber
+    block (``law`` is the heat-bath flip probability with 0, 1, 2 neighbours
+    aligned) draws sites, then uniforms.
+    """
+    out = [bits]
+    for done in range(0, states - 1, 4096):
+        count = min(4096, states - 1 - done)
+        if kind == "glauber":
+            for site, u in zip(gen.integers(0, n, size=count).tolist(), gen.random(count).tolist()):
+                bits = _glauber_flip_bits(bits, site, u, n, law)
+                out.append(bits)
+        else:
+            seeds = gen.integers(0, n, size=count)
+            g_right = _truncated_geometric(gen.random(count), law, n)
+            g_left = _truncated_geometric(gen.random(count), law, n)
+            for seed, right, left in zip(seeds.tolist(), g_right.tolist(), g_left.tolist()):
+                bits = _wolff_arc_bits(bits, seed, right, left, n)
+                out.append(bits)
+    return out
+
+
+def _truncated_geometric(u, bond_prob, n):
+    if bond_prob <= 0.0:
+        return np.zeros(u.shape, dtype=np.int64)
+    if bond_prob >= 1.0:
+        return np.full(u.shape, n, dtype=np.int64)
+    with np.errstate(divide="ignore"):
+        g = np.floor(np.log(u) / math.log(bond_prob))
+    return np.minimum(g, n).astype(np.int64)
+
+
+def _glauber_flip_bits(bits, site, u, n, flip_probs):
+    s = (bits >> site) & 1
+    aligned = (((bits >> ((site - 1) % n)) & 1) == s) + (((bits >> ((site + 1) % n)) & 1) == s)
+    return bits ^ (1 << site) if u < flip_probs[aligned] else bits
+
+
+def _wolff_arc_bits(bits, seed, g_right, g_left, n):
+    full = (1 << n) - 1
+    aligned = ~(bits ^ ((bits >> 1) | ((bits & 1) << (n - 1)))) & full
+    rotated = ((aligned >> seed) | (aligned << (n - seed))) & full
+    run_r = (rotated & ~(rotated + 1)).bit_count()
+    run_l = n - (rotated ^ full).bit_length()
+    ext_r = min(g_right, run_r, n - 1)
+    ext_l = min(g_left, run_l, n - 1 - ext_r)
+    start = (seed - ext_l) % n
+    arc = (1 << (ext_l + ext_r + 1)) - 1
+    return bits ^ (((arc << start) | (arc >> (n - start))) & full)
 
 
 def full_ratio_ascent_adversary(kernel, measure, rng, target="lsi", restarts=100, sweeps=40):

@@ -184,8 +184,7 @@ def test_criterion_6_critical_point_spectra():
             traj = run_chain(InitialLaw.fixed(initial), m, WOLFF, params,
                              RngStream(SEED, 6100 + n * 100 + rep))
             hit = 1 + next(k for k, bits in enumerate(traj.states) if bits in (0, full))
-            expected_hits = {1} if initial.is_aligned else {ctilde, ctilde + 1}
-            ok = ok and hit in expected_hits
+            ok = ok and hit == (1 if initial.is_aligned else ctilde + 1)
             post = traj.states[hit - 1 :]
             ok = ok and all(post[k + 1] == post[k] ^ full for k in range(len(post) - 1))
             spins = decode_states(traj.states, n).astype(np.float64)

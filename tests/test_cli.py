@@ -204,6 +204,16 @@ class TestExitCodes:
         assert lines[-1].startswith("# config_hash=")
         assert lines[-2].startswith("# version=")
 
+    def test_hitting_requires_the_exact_hit_index(self, tmp_path, monkeypatch):
+        # one step short of the law is a certification failure, not a PASS
+        import isingring.cli as cli
+
+        real = cli.hitting_time_aligned
+        monkeypatch.setattr(cli, "hitting_time_aligned", lambda initial, rng: real(initial, rng) - 1)
+        assert main(["hitting", "--n", "7", "--count", "40", "--out", str(tmp_path)]) == 1
+        rows = [line.split(",") for line in (tmp_path / "hitting.csv").read_text().splitlines()[1:-2]]
+        assert rows and all(row[4] == "0" for row in rows)
+
     def test_hitting_at_the_largest_ring(self, tmp_path):
         # the uniform start at n = 63 is drawn below 2^63, the top of an int64
         assert main(["hitting", "--n", "63", "--count", "20", "--out", str(tmp_path)]) == 0
@@ -311,14 +321,54 @@ GOLDEN_LSI_VERIFY = [
 ]
 
 
+# The chain commands at sizes that cross a draw block (4096 steps) and, for
+# spectra (batches of 8500 states), an accumulate block (8192 states): sha256
+# of the CSV without its "# version=" line and the exit code, both written by
+# version 0.5.0 when chains made one function call per step. Any change to
+# the chains' draws or arithmetic moves them. sweep exits 0 here; the default
+# sweep and the benchmark's sweep exit 1 at seed 0 through pass_42.
+GOLDEN_CHAIN_COMMANDS = [
+    (["sweep", "--j-hat", "0.5", "--n-list", "16,24"], 0, 0,
+     "76fd8ff11a8e0f70f3b7973c72dad7655d666d36ebf41dc03779bc5d8889b9c1"),
+    (["sweep", "--j-hat", "0.5", "--n-list", "16,24"], 7, 0,
+     "8b2ae51ad7ded8dba7535d915af508df4643bea87d451ad053b33a12dabce279"),
+    (["spectra", "--n", "16", "--j-hat", "inf", "--m", "170000"], 0, 0,
+     "442cf55d405475a80c18fc002eeaf15eb267842df38b43e6b59804789e3fec43"),
+    (["spectra", "--n", "16", "--j-hat", "inf", "--m", "170000"], 7, 0,
+     "37d609a76165ce5470b949118d8bb436bb46753c610c48e7fc55aefa26afe1d2"),
+    (["simulate", "--n", "32", "--j-hat", "0.5", "--m", "20000"], 0, 0,
+     "40370e3b1ad766c3fcaeee89bde2c7873353ef73870be1a11f30c7203a9db462"),
+    (["simulate", "--n", "32", "--j-hat", "0.5", "--m", "20000"], 7, 0,
+     "ce524e318045b119d85b810ade3b333533f709c59fca636849f8abfb19640a2e"),
+    (["simulate", "--n", "32", "--j-hat", "0.5", "--m", "20000", "--dynamics", "glauber"], 0, 0,
+     "7edfb09d7b5f014f3a64e4225084a8c51cb10854639c2dc425c6f1b48563180d"),
+    (["simulate", "--n", "32", "--j-hat", "0.5", "--m", "20000", "--dynamics", "glauber"], 7, 0,
+     "49268abc8bdbeeece731170153b8885bc8f3a671a750b9ad37e9280b4d6b62f8"),
+    (["hitting", "--n", "48", "--count", "200"], 0, 0,
+     "2c235a013a37b7cb25ba6250c4c936bf50ea9df0f7f7a32fb6b515510b53a744"),
+    (["hitting", "--n", "48", "--count", "200"], 7, 0,
+     "5a7f8adb977e9a509100957eea9e0adf9fc749e1d579c72b30b7f76070e57bee"),
+]
+
+
+def _csv_digest(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert lines[-2] == f"# version={__version__}\n".encode()
+    return hashlib.sha256(b"".join(lines[:-2] + lines[-1:])).hexdigest()
+
+
 class TestGoldenCsv:
     def test_hashes_belong_to_this_version(self):
-        assert __version__ == GOLDEN_VERSION, "renew GOLDEN_LSI_VERIFY for the new version"
+        assert __version__ == GOLDEN_VERSION, "renew GOLDEN_LSI_VERIFY and GOLDEN_CHAIN_COMMANDS for the new version"
 
     @pytest.mark.parametrize("argv, seed, digest", GOLDEN_LSI_VERIFY,
                              ids=[f"n{argv[1]}-seed{seed}" for argv, seed, _ in GOLDEN_LSI_VERIFY])
     def test_lsi_verify_csv(self, tmp_path, argv, seed, digest):
         assert main(["lsi-verify", *argv, "--seed", str(seed), "--out", str(tmp_path)]) == 0
-        lines = (tmp_path / "lsi-verify.csv").read_bytes().splitlines(keepends=True)
-        assert lines[-2] == f"# version={__version__}\n".encode()
-        assert hashlib.sha256(b"".join(lines[:-2] + lines[-1:])).hexdigest() == digest
+        assert _csv_digest(tmp_path / "lsi-verify.csv") == digest
+
+    @pytest.mark.parametrize("argv, seed, code, digest", GOLDEN_CHAIN_COMMANDS,
+                             ids=[f"{argv[0]}-{argv[-1]}-seed{seed}" for argv, seed, _, _ in GOLDEN_CHAIN_COMMANDS])
+    def test_chain_command_csv(self, tmp_path, argv, seed, code, digest):
+        assert main([*argv, "--seed", str(seed), "--out", str(tmp_path)]) == code
+        assert _csv_digest(tmp_path / f"{argv[0]}.csv") == digest

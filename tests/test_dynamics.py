@@ -35,7 +35,7 @@ from isingring.dynamics import (
     _arc_draws,
     _chain_bits,
     _glauber_flip_probs,
-    _wolff_arc_bits,
+    _wolff_arc_block,
 )
 from isingring.functionals import lsi_constant_bound
 
@@ -206,13 +206,13 @@ class TestHitting:
         ctilde = decompose(cfg).plus_count
         assert ctilde == 3
         hits = {hitting_time_aligned(cfg, RngStream(17, s)) for s in range(100)}
-        assert hits <= {ctilde, ctilde + 1}
+        assert hits == {ctilde + 1}
 
     def test_single_minus_arc(self):
         cfg = Configuration.from_spins([1, 1, -1, -1, 1, 1, 1])
         assert decompose(cfg).plus_count == 1
         hits = {hitting_time_aligned(cfg, RngStream(18, s)) for s in range(50)}
-        assert hits <= {1, 2}
+        assert hits == {2}
 
     def test_post_hit_alternation(self):
         params = ModelParams(8, INFINITE)
@@ -332,7 +332,8 @@ def test_arc_law_forms_agree_draw_for_draw(n, j):
     for step in range(4):
         expected = oracle.roll_cumprod_wolff_step_many(spins, bond_prob, RngStream(31, step).generator())
         draws = _arc_draws(RngStream(31, step).generator(), len(states), n, bond_prob)
-        states = [_wolff_arc_bits(b, *d, n) for b, *d in zip(states, *(x.tolist() for x in draws))]
+        states = [_wolff_arc_block(b, [seed], [right], [left], n)[0]
+                  for b, seed, right, left in zip(states, *(x.tolist() for x in draws))]
         assert states == [Configuration.from_spins(row.tolist()).bits for row in expected]
         if n <= 64:
             assert np.array_equal(wolff_step_many(spins, params, RngStream(31, step).generator()), expected)
@@ -340,7 +341,7 @@ def test_arc_law_forms_agree_draw_for_draw(n, j):
 
 
 def _glauber_by_hand(bits, site, u, n, j_hat):
-    # the heat-bath rule written out from the spins, independently of _glauber_flip_bits
+    # the heat-bath rule written out from the spins, independently of _glauber_block
     s = [2 * ((bits >> k) & 1) - 1 for k in ((site - 1) % n, site, (site + 1) % n)]
     aligned = (s[0] == s[1]) + (s[2] == s[1])
     return bits ^ (1 << site) if u < _glauber_flip_probs(j_hat)[aligned] else bits
@@ -358,8 +359,9 @@ def test_chain_draw_blocks_are_cut_at_the_steps_remaining(kind):
     bits, expected = 5, [5]
     for count in (CHAIN_DRAW_BLOCK, 9):
         if kind == WOLFF:
-            for draws in zip(*(x.tolist() for x in _arc_draws(ref, count, n, derived_constants(params).bond_prob))):
-                bits = _wolff_arc_bits(bits, *draws, n)
+            draws = _arc_draws(ref, count, n, derived_constants(params).bond_prob)
+            for seed, right, left in zip(*(x.tolist() for x in draws)):
+                bits = _wolff_arc_block(bits, [seed], [right], [left], n)[0]
                 expected.append(bits)
         else:
             sites = ref.integers(0, n, size=count)
@@ -368,6 +370,31 @@ def test_chain_draw_blocks_are_cut_at_the_steps_remaining(kind):
                 expected.append(bits)
     assert chain == expected
     assert gen.random() == ref.random()  # nothing drawn beyond the chain's own steps
+
+
+@pytest.mark.parametrize("length", [1, 2, CHAIN_DRAW_BLOCK, CHAIN_DRAW_BLOCK + 1, 2 * CHAIN_DRAW_BLOCK + 1])
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 48, 64, 100])
+@pytest.mark.parametrize("kind, j", [(WOLFF, 0.0), (WOLFF, 0.5), (WOLFF, 1.5), (WOLFF, INFINITE),
+                                     (GLAUBER, 0.0), (GLAUBER, 0.5), (GLAUBER, 1.5)],
+                         ids=lambda v: "inf" if v is INFINITE else str(v))
+def test_block_chains_match_the_per_step_chain(kind, j, n, length):
+    # the block loops step exactly as one call per step did, draw for draw,
+    # through _chain_bits and, where states fit a uint64, through run_chain
+    params = ModelParams(n, j)
+    law = derived_constants(params).bond_prob if kind == WOLFF else _glauber_flip_probs(j).tolist()
+    start = int.from_bytes(RngStream(33, n).generator().bytes(8 + n // 8), "little") & ((1 << n) - 1)
+    ref = RngStream(34).generator()
+    expected = oracle.per_step_chain_bits(start, length, kind, n, law, ref)
+    gen = RngStream(34).generator()
+    assert np.array_equal(np.array(list(_chain_bits(start, length, kind, params, gen)), dtype=object),
+                          np.array(expected, dtype=object))
+    after = ref.random()
+    assert gen.random() == after  # nothing drawn beyond the chain's own steps
+    if n <= 64:
+        gen = RngStream(34).generator()
+        traj = run_chain(InitialLaw.fixed(Configuration(start, n)), length, kind, params, gen)
+        assert np.array_equal(traj.states, np.array(expected, dtype=np.uint64))
+        assert gen.random() == after
 
 
 @pytest.mark.parametrize("kind", [WOLFF, GLAUBER])
