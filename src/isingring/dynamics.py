@@ -45,6 +45,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .model import (
+    INFINITE,
     Configuration,
     ModelParams,
     ResourceLimitError,
@@ -452,7 +453,8 @@ def hitting_time_aligned(initial: Configuration, rng) -> int:
     initial plus-component count + 1 (deterministic even though the path is
     random). The chain's n + 1 steps are drawn as one block, as ``_chain_bits``
     draws a chain of n + 2 states, but stepped one at a time, so stepping
-    stops at the first aligned state.
+    stops at the first aligned state (stepping the whole block through
+    ``_chain_bits`` made ``isingring hitting`` about a third slower).
     """
     gen = as_generator(rng)
     n = initial.n
@@ -460,7 +462,7 @@ def hitting_time_aligned(initial: Configuration, rng) -> int:
     bits = initial.bits
     if bits == 0 or bits == full:
         return 1
-    draws = _arc_draws(gen, n + 1, n, 1.0)  # every aligned bond opens at the critical point
+    draws = _arc_draws(gen, n + 1, n, derived_constants(ModelParams(n, INFINITE)).bond_prob)
     for k, (seed, g_right, g_left) in enumerate(zip(*(d.tolist() for d in draws)), start=2):
         bits = _wolff_arc_block(bits, (seed,), (g_right,), (g_left,), n)[0]
         if bits == 0 or bits == full:

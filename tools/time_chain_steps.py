@@ -1,12 +1,12 @@
 """Microseconds per chain step of ``run_chain``, for one source tree.
 
-    python3 tools/time_chain_steps.py [--src SRC] [--repeats 5] [--states 100000]
+    python3 tools/time_chain_steps.py [--src SRC]
 
 Imports ``isingring`` from ``SRC`` (default: this checkout's ``src``), so two
 trees can be timed on one host with one script. Each case runs a stored chain
-of ``--states`` states from a fixed start; the time of a run divided by its
-steps is one sample. Prints one JSON object: per case, the samples and
-their median and quartiles, in microseconds per step.
+of ``STATES`` states from a fixed start ``REPEATS`` times; the time of a run
+divided by its steps is one sample. Prints one JSON object: per case, the
+samples and their median and quartiles, in microseconds per step.
 """
 
 import argparse
@@ -26,12 +26,13 @@ CASES = [
     ("glauber-n32-j0.5", "glauber", 32, 0.5),
 ]
 
+STATES = 100_000
+REPEATS = 3
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--states", type=int, default=100_000)
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     from isingring import INFINITE, Configuration, InitialLaw, ModelParams, RngStream, run_chain
@@ -42,10 +43,10 @@ def main(argv=None) -> int:
         law = InitialLaw.fixed(Configuration(0b1011 << (n // 2), n))
         run_chain(law, 10_000, kind, params, RngStream(1))  # warm up
         samples = []
-        for r in range(args.repeats):
+        for r in range(REPEATS):
             t0 = time.perf_counter()
-            run_chain(law, args.states, kind, params, RngStream(2, r))
-            samples.append(1e6 * (time.perf_counter() - t0) / (args.states - 1))
+            run_chain(law, STATES, kind, params, RngStream(2, r))
+            samples.append(1e6 * (time.perf_counter() - t0) / (STATES - 1))
         q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
         out[name] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
                      "samples": [round(x, 4) for x in samples]}
