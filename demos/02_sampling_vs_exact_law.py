@@ -33,8 +33,8 @@ print()
 m = 500_000
 mu = gibbs_measure(params).probabilities
 counts = np.zeros(kernel.size)
-for cfg in iter_chain(InitialLaw.all_plus(), m, WOLFF, params, RngStream(11)):
-    counts[cfg.bits] += 1
+for bits in iter_chain(InitialLaw.all_plus(), m, WOLFF, params, RngStream(11)):
+    counts[bits] += 1
 tv = 0.5 * np.abs(counts / m - mu).sum()
 print(f"long-run check: {m} Wolff steps from the all-plus state")
 print(f"  total-variation distance to the Gibbs measure: {tv:.4f}")

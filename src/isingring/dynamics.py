@@ -33,6 +33,9 @@ are only reproducible within one of them.
 Glauber paths read one heat-bath table, ``_glauber_flip_probs``; chains draw
 sites, then uniforms, in the Wolff blocks and step each block in one tight
 loop (``_glauber_block``), and ``glauber_step`` is the reference.
+
+``iter_chain`` streams a chain of either dynamics as bit-packed ints, with no
+``Configuration`` per state.
 """
 
 from __future__ import annotations
@@ -401,14 +404,16 @@ def _chain_bits(bits: int, states: int, kind: str, params: ModelParams, gen: np.
     return itertools.chain((bits,), itertools.chain.from_iterable(blocks()))
 
 
-def iter_chain(initial: InitialLaw, steps: int, kind: str, params: ModelParams, rng) -> Iterator[Configuration]:
-    """Stream Y_1..Y_steps one configuration at a time (constant memory)."""
+def iter_chain(initial: InitialLaw, steps: int, kind: str, params: ModelParams, rng) -> Iterator[int]:
+    """Stream Y_1..Y_steps as bit-packed ints (bit b is site b+1; constant memory, any n).
+
+    Argument errors raise here, not at the first ``next()``. Wrap a state in
+    ``Configuration(bits, params.n)`` where its spins are needed.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     gen = as_generator(rng)
-    n = params.n
-    for bits in _chain_bits(initial.sample(params, gen).bits, steps, kind, params, gen):
-        yield Configuration(bits, n)
+    return _chain_bits(initial.sample(params, gen).bits, steps, kind, params, gen)
 
 
 def run_chain(

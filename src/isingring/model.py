@@ -208,7 +208,7 @@ def derived_constants(params: ModelParams) -> DerivedConstants:
 
 
 def _rotated_bits(bits, n: int):
-    """Bit b of the result is bit (b+1) mod n of the input (a Python int or an int64 array)."""
+    """Bit b of the result is bit (b+1) mod n of the input (a Python int or an integer array)."""
     return (bits >> 1) | ((bits & 1) << (n - 1))
 
 

@@ -4,8 +4,10 @@ Everything here works on plain spin tuples or dense arrays with direct
 enumeration and no shared code with the package internals, so oracle
 agreement is meaningful. The exceptions are ``full_ratio_ascent_adversary``,
 which checks how the package's search scores its moves, not the functionals
-it scores them with, and ``per_step_chain_bits``, the package's chain
-arithmetic before its block loops, which checks them bit for bit.
+it scores them with, ``per_step_chain_bits``, the package's chain
+arithmetic before its block loops, and ``per_state_simulate_sums``, the
+simulate command's sums before its uint64 blocks; these two check the
+package bit for bit.
 """
 
 import itertools
@@ -242,6 +244,20 @@ def per_step_chain_bits(bits, states, kind, n, law, gen):
                 bits = _wolff_arc_bits(bits, seed, right, left, n)
                 out.append(bits)
     return out
+
+
+def per_state_simulate_sums(states, n):
+    """Magnetization and nearest-neighbour correlation sums over bit-packed
+    ``states``, one Python float ``+=`` per state, as ``isingring simulate``
+    added them before reducing in uint64 blocks."""
+    mag_sum = 0.0
+    corr_sum = 0.0
+    for bits in states:
+        pc = bits.bit_count()
+        mag_sum += (2 * pc - n) / n
+        frustrated = (bits ^ ((bits >> 1) | ((bits & 1) << (n - 1)))).bit_count()
+        corr_sum += (n - 2 * frustrated) / n
+    return mag_sum, corr_sum
 
 
 def _truncated_geometric(u, bond_prob, n):

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from isingring import INFINITE, __version__
-from isingring.cli import RunConfig, main, parse_config, parse_j_hat, UsageError
+from isingring import INFINITE, InitialLaw, ModelParams, RngStream, __version__, iter_chain
+from isingring.cli import RunConfig, _ergodic_sums, main, parse_config, parse_j_hat, UsageError
+
+import _oracles as oracle
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -149,6 +151,30 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "8", "--j-hat", "0.5", "--m", "100"],
+        ["kernel-verify", "--n", "4", "--j-hat", "0.5"],
+        ["lsi-verify", "--n", "4", "--j-hat", "0.5", "--functions", "5"],
+        ["spectra", "--n", "8", "--j-hat", "inf", "--m", "100"],
+        ["hitting", "--n", "6", "--count", "5"],
+        ["sweep", "--j-hat", "0.5", "--n-list", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_2_with_one_line(self, argv, source, tmp_path, capsys):
+        # RngStream keys are nonnegative; kernel-verify without --trials draws nothing
+        out = tmp_path / "out"
+        if source == "flag":
+            seed = ["--seed", "-1"]
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text("seed=-1\n")
+            seed = ["--config", str(conf)]
+        assert main(argv + seed + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need --seed >= 0: RngStream keys are nonnegative\n"
+        assert not out.exists()
+
     def test_huge_coupling_kernel_verify_and_simulate_run(self, tmp_path, capsys):
         # tanh J rounds to 1.0 here; the kernel and the chain need only e^{-2J}
         assert main(["kernel-verify", "--n", "4", "--j-hat", "30", "--out", str(tmp_path)]) == 0
@@ -273,6 +299,20 @@ class TestParallelismAndArtifacts:
         assert np.trace(mat) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind, j_hat", [("wolff", 0.5), ("wolff", INFINITE), ("glauber", 0.5)],
+                         ids=["wolff-0.5", "wolff-inf", "glauber-0.5"])
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 100])
+def test_ergodic_sums_equal_the_per_state_sums(n, kind, j_hat):
+    # simulate's block reduction (n <= 64) and per-int loop (n > 64) give
+    # the same floats as one += per state, across accumulate-block edges
+    law = InitialLaw.uniform_random() if j_hat is INFINITE else InitialLaw.stationary()
+    params = ModelParams(n, j_hat)
+    for m in (1, 8191, 8192, 8193, 20000):
+        states = list(iter_chain(law, m, kind, params, RngStream(3, m)))
+        assert len(states) == m
+        assert _ergodic_sums(iter(states), m, n) == oracle.per_state_simulate_sums(states, n)
+
+
 def test_benchmark_command_lines_parse(tmp_path):
     # the benchmark runs these command lines against the package; a flag they
     # pass that the cli drops would otherwise only show up as failed operations
@@ -344,6 +384,24 @@ GOLDEN_CHAIN_COMMANDS = [
      "7edfb09d7b5f014f3a64e4225084a8c51cb10854639c2dc425c6f1b48563180d"),
     (["simulate", "--n", "32", "--j-hat", "0.5", "--m", "20000", "--dynamics", "glauber"], 7, 0,
      "49268abc8bdbeeece731170153b8885bc8f3a671a750b9ad37e9280b4d6b62f8"),
+    # simulate at the largest ring packed into a uint64 (64) and past it (100),
+    # written by simulate's per-state sums before they moved to uint64 blocks
+    (["simulate", "--n", "64", "--j-hat", "0.5", "--m", "20000"], 0, 0,
+     "f44dcee1c5fc264159b8f39b692dcfca6a92fabceb6c262e5792bd4d85ceeb80"),
+    (["simulate", "--n", "64", "--j-hat", "0.5", "--m", "20000"], 7, 0,
+     "03d29b2ae7cefec03487603deaef7962f14fb07484468891a9256ec6df0499b6"),
+    (["simulate", "--n", "64", "--j-hat", "0.5", "--m", "20000", "--dynamics", "glauber"], 0, 0,
+     "e33568dd90a5f7bcb17c8e944449e22acf98ebe319834f73866f99859ff153e8"),
+    (["simulate", "--n", "64", "--j-hat", "0.5", "--m", "20000", "--dynamics", "glauber"], 7, 0,
+     "b744007723ffed6d65d443f92fecaa11dd718029fb532d23efb11419e6d5305c"),
+    (["simulate", "--n", "100", "--j-hat", "0.5", "--m", "5000"], 0, 0,
+     "1b0bae549ba64e39715de0d50e2663341ace6f4922e7e4b01320d49cb1fb4292"),
+    (["simulate", "--n", "100", "--j-hat", "0.5", "--m", "5000"], 7, 0,
+     "c6cfb76718c76df4c654bba244ebb9f122b2048eced588ab8bf8ebc31cd1a09c"),
+    (["simulate", "--n", "100", "--j-hat", "0.5", "--m", "5000", "--dynamics", "glauber"], 0, 0,
+     "a00256e7446f67560846332a12f6e46b69bfbf7d4ecb40b07d091d2e95b0311f"),
+    (["simulate", "--n", "100", "--j-hat", "0.5", "--m", "5000", "--dynamics", "glauber"], 7, 0,
+     "bffeb5a70fedf0bbf0fc531cd66769e8f294cb57db815f9e959cca2c32617952"),
     (["hitting", "--n", "48", "--count", "200"], 0, 0,
      "2c235a013a37b7cb25ba6250c4c936bf50ea9df0f7f7a32fb6b515510b53a744"),
     (["hitting", "--n", "48", "--count", "200"], 7, 0,
@@ -357,6 +415,12 @@ def _csv_digest(path):
     return hashlib.sha256(b"".join(lines[:-2] + lines[-1:])).hexdigest()
 
 
+def _golden_id(argv, seed):
+    # "<command>-<last value>-seed<seed>"; rings of 64 sites and more also name their size
+    n = int(argv[argv.index("--n") + 1]) if "--n" in argv else 0
+    return f"{argv[0]}{f'-n{n}' if n >= 64 else ''}-{argv[-1]}-seed{seed}"
+
+
 class TestGoldenCsv:
     def test_hashes_belong_to_this_version(self):
         assert __version__ == GOLDEN_VERSION, "renew GOLDEN_LSI_VERIFY and GOLDEN_CHAIN_COMMANDS for the new version"
@@ -368,7 +432,7 @@ class TestGoldenCsv:
         assert _csv_digest(tmp_path / "lsi-verify.csv") == digest
 
     @pytest.mark.parametrize("argv, seed, code, digest", GOLDEN_CHAIN_COMMANDS,
-                             ids=[f"{argv[0]}-{argv[-1]}-seed{seed}" for argv, seed, _, _ in GOLDEN_CHAIN_COMMANDS])
+                             ids=[_golden_id(argv, seed) for argv, seed, _, _ in GOLDEN_CHAIN_COMMANDS])
     def test_chain_command_csv(self, tmp_path, argv, seed, code, digest):
         assert main([*argv, "--seed", str(seed), "--out", str(tmp_path)]) == code
         assert _csv_digest(tmp_path / f"{argv[0]}.csv") == digest

@@ -159,8 +159,13 @@ class TestChains:
         params = ModelParams(6, 0.4)
         law = InitialLaw.all_plus()
         stored = run_chain(law, 50, GLAUBER, params, RngStream(10))
-        streamed = [c.bits for c in iter_chain(law, 50, GLAUBER, params, RngStream(10))]
+        streamed = list(iter_chain(law, 50, GLAUBER, params, RngStream(10)))
         assert stored.states.tolist() == streamed
+
+    @pytest.mark.parametrize("steps, kind", [(0, WOLFF), (-3, GLAUBER), (10, "metropolis")])
+    def test_iter_chain_rejects_bad_arguments_at_the_call(self, steps, kind):
+        with pytest.raises(ValueError):
+            iter_chain(InitialLaw.all_plus(), steps, kind, ModelParams(6, 0.4), RngStream(10))
 
     def test_critical_alternation_from_all_plus(self):
         params = ModelParams(4, INFINITE)
@@ -192,7 +197,7 @@ class TestChains:
         exact = two_point_correlation(1, 2, params)
         avg = ergodic_average(
             lambda c: c.spin(1) * c.spin(2),
-            iter_chain(InitialLaw.stationary(), m, WOLFF, params, RngStream(15)),
+            (Configuration(b, n) for b in iter_chain(InitialLaw.stationary(), m, WOLFF, params, RngStream(15))),
         )
         assert (avg - exact) ** 2 <= 16 * traj_bound
 
@@ -405,8 +410,8 @@ def test_large_ring_streaming(kind):
     exact = two_point_correlation(1, 2, params)
     total = 0.0
     count = 0
-    for cfg in iter_chain(InitialLaw.stationary(), 400, kind, params, RngStream(29)):
-        spins = cfg.spins()
+    for bits in iter_chain(InitialLaw.stationary(), 400, kind, params, RngStream(29)):
+        spins = Configuration(bits, n).spins()
         total += sum(spins[i] * spins[(i + 1) % n] for i in range(n)) / n
         count += 1
     assert count == 400
@@ -420,7 +425,7 @@ def test_long_run_total_variation(kind):
     params = ModelParams(n, j)
     mu = gibbs_measure(params).probabilities
     counts = np.zeros(1 << n)
-    for cfg in iter_chain(InitialLaw.all_plus(), m, kind, params, RngStream(28)):
-        counts[cfg.bits] += 1
+    for bits in iter_chain(InitialLaw.all_plus(), m, kind, params, RngStream(28)):
+        counts[bits] += 1
     tv = 0.5 * np.abs(counts / m - mu).sum()
     assert tv <= 0.005
