@@ -15,7 +15,7 @@ from isingring import (
     build_wolff_kernel,
     check_detailed_balance,
     gibbs_measure,
-    wolff_entry,
+    wolff_entry_from_boundary,
 )
 
 n, j = 6, 0.5
@@ -28,8 +28,8 @@ sigma = Configuration.from_spins([1, 1, -1, 1, -1, -1])
 print("cluster-flip probabilities out of", sigma.spins())
 for sites in [(3,), (1, 2), (5, 6), (2,), (4,)]:
     flip = FlipSet.from_sites(sites, n)
-    print(f"  flip {str(sites):10s} -> {wolff_entry(sigma, flip, params):.6f}")
-print(f"  flip everything -> {wolff_entry(sigma, FlipSet.arc(1, n, n), params):.6f} (only aligned states can flip the whole ring)")
+    print(f"  flip {str(sites):10s} -> {wolff_entry_from_boundary(sigma, flip, params):.6f}")
+print(f"  flip everything -> {wolff_entry_from_boundary(sigma, FlipSet.arc(1, n, n), params):.6f} (only aligned states can flip the whole ring)")
 print()
 
 wolff = build_wolff_kernel(params)

@@ -19,7 +19,6 @@ from .model import (
     gibbs_probability,
     hamiltonian,
     partition_function,
-    partition_function_brute,
     susceptibility_closed_form_bound,
     susceptibility_row_sum,
     two_point_correlation,
@@ -40,7 +39,6 @@ from .dynamics import (
     Trajectory,
     decode_states,
     encode_spins,
-    ergodic_average,
     glauber_step,
     glauber_step_many,
     hitting_time_aligned,
@@ -59,16 +57,9 @@ from .kernel import (
     build_wolff_kernel,
     check_detailed_balance,
     empirical_vs_exact,
-    export_kernel_binary,
-    export_kernel_csv,
     glauber_flip_probability,
-    glauber_flip_probability_from_components,
-    hypercube_walk_spectrum,
-    read_matrix_dump,
-    spectral_gap,
     symmetrize_and_decompose,
     wolff_dual_form_disagreement,
-    wolff_entry,
     wolff_entry_from_boundary,
     wolff_entry_from_components,
     write_matrix_dump,
@@ -82,7 +73,6 @@ from .functionals import (
     dirichlet_form,
     entropy,
     ergodic_l2_bound,
-    geometric_sum_helpers,
     indicator_function,
     lsi_constant_bound,
     poincare_constant_bound,
@@ -92,19 +82,13 @@ from .spectra import (
     CellResult,
     CovarianceAccumulator,
     CovarianceRun,
-    Ensemble,
     ExperimentCell,
-    SpectrumReport,
-    build_ensemble,
-    correlation_matrix,
-    covariance_matrix,
     eigenvalues_symmetric,
     evaluate_cell,
     exact_limit_covariance,
     gershgorin_norm,
     khat_norm_bound,
     run_covariance_chain,
-    spectrum_report,
     subcritical_norm_bound,
 )
 

@@ -56,7 +56,6 @@ from .kernel import (
     build_wolff_kernel,
     check_detailed_balance,
     empirical_vs_exact,
-    spectral_gap,
     symmetrize_and_decompose,
     wolff_dual_form_disagreement,
     wolff_entry_from_boundary,  # unused here; bench/tracer.py rebinds these two names on cli
@@ -98,6 +97,15 @@ def parse_j_hat(text: str):
     if not math.isfinite(value) or value < 0:
         raise UsageError(f"invalid coupling {text!r}: use a nonnegative float or 'inf'")
     return value
+
+
+_SWITCH_VALUES = {"0": False, "1": True, "false": False, "true": True, "no": False, "yes": True}
+
+
+def parse_switch(text: str) -> bool:
+    if text not in _SWITCH_VALUES:
+        raise ValueError(f"{text!r} is not one of {', '.join(_SWITCH_VALUES)}")
+    return _SWITCH_VALUES[text]
 
 
 def parse_int_list(text: str):
@@ -169,7 +177,7 @@ _OPTIONS = {
         "j-hat": (parse_j_hat, _REQUIRED),
         "m": (int, _REQUIRED),
         "replicas": (int, 1),
-        "save-matrix": (lambda s: s not in ("0", "false", "no"), False),
+        "save-matrix": (parse_switch, False),
     },
     "hitting": {
         **_COMMON,
@@ -278,6 +286,8 @@ def _validate(config: RunConfig):
             raise UsageError("sweep covers the subcritical regime; use the spectra command at 'inf'")
         if not v["n_list"] or any(n < 2 for n in v["n_list"]):
             raise UsageError("--n-list needs one or more sizes, all >= 2")
+        if any(a >= b for a, b in zip(v["n_list"], v["n_list"][1:])):
+            raise UsageError("--n-list sizes must be strictly increasing: the norms are compared in list order")
     if config.command in ("spectra", "sweep"):
         if v["replicas"] < 1:
             raise UsageError("need --replicas >= 1")
@@ -463,7 +473,7 @@ def _cmd_kernel_verify(config: RunConfig) -> int:
     record("glauber_wolff_comparison_excess", comparison, 1e-15)
 
     if config.trials:
-        check = empirical_vs_exact(wolff, params, config.trials, rng, method="bulk")
+        check = empirical_vs_exact(wolff, params, config.trials, rng)
         ok = check.passes()
         rows.append(["wolff_empirical_max_z", _fmt(check.max_z), _fmt(Z_MAX), str(int(ok))])
         if not ok:
@@ -488,7 +498,7 @@ def _cmd_lsi_verify(config: RunConfig) -> int:
         worst_slack = min(worst_slack, r.slack)
         fails += 0 if r.passed else 1
         rows.append([str(params.n), _fmt(params.j_hat), f"{r.family}/{r.kind}", _fmt(r.lhs), _fmt(r.rhs), _fmt(r.slack), str(int(r.passed))])
-    gap = spectral_gap(decomposition)
+    gap = decomposition.gap
     c_pi = poincare_constant_bound(float(params.j_hat), params.n)
     spectral_ok = 1.0 / gap <= c_pi * (1.0 + 1e-9)
     rows.append([str(params.n), _fmt(params.j_hat), "spectrum/poincare-vs-gap", _fmt(1.0 / gap), _fmt(c_pi), _fmt(c_pi - 1.0 / gap), str(int(spectral_ok))])

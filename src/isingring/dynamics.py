@@ -26,9 +26,11 @@ as the reference oracle:
   for the seed, then one uniform per aligned bond tested, in that stack
   order; anti-aligned bonds are deterministic rejections and consume nothing.
 
-Both realize the same transition law (both reproduce the exact transition
-kernel; see tests), but they consume randomness differently, so trajectories
-are only reproducible within one of them.
+Both realize the same transition law, but they consume randomness
+differently, so trajectories are only reproducible within one of them. The
+kernel's ``empirical_vs_exact`` checks the bulk sampler against the exact
+kernel rows; the stack sampler's one-step counts, checked the same way, are
+an oracle in the test suite (``tests/_oracles.py``).
 
 Glauber paths read one heat-bath table, ``_glauber_flip_probs``; chains draw
 sites, then uniforms, in the Wolff blocks and step each block in one tight
@@ -43,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -61,7 +63,7 @@ WOLFF = "wolff"
 GLAUBER = "glauber"
 
 #: ``run_chain`` refuses to store trajectories larger than this many bytes.
-DEFAULT_STORAGE_BUDGET = 256 * 1024 * 1024
+STORAGE_BUDGET = 256 * 1024 * 1024
 
 #: Exact inverse-CDF stationary sampling is used up to this size; beyond it
 #: the sequential transfer-matrix sampler takes over (both are exact).
@@ -350,10 +352,6 @@ class Trajectory:
         n = self.params.n
         return (Configuration(int(b), n) for b in self.states)
 
-    def spin_matrix(self) -> np.ndarray:
-        """Decode to a (M, n) +-1 int8 matrix."""
-        return decode_states(self.states, self.params.n)
-
 
 def decode_states(states: np.ndarray, n: int) -> np.ndarray:
     """Bit-packed uint64 states -> (M, n) +-1 int8 matrix."""
@@ -416,38 +414,19 @@ def iter_chain(initial: InitialLaw, steps: int, kind: str, params: ModelParams, 
     return _chain_bits(initial.sample(params, gen).bits, steps, kind, params, gen)
 
 
-def run_chain(
-    initial: InitialLaw,
-    steps: int,
-    kind: str,
-    params: ModelParams,
-    rng,
-    storage_budget: int = DEFAULT_STORAGE_BUDGET,
-) -> Trajectory:
+def run_chain(initial: InitialLaw, steps: int, kind: str, params: ModelParams, rng) -> Trajectory:
     """Run and store a chain. Deterministic given the RngStream; Y_1 is the initial draw."""
     if params.n > 64:
         raise ResourceLimitError("stored trajectories are bit-packed in uint64 (n <= 64); use iter_chain")
-    if steps * 8 > storage_budget:
+    if steps * 8 > STORAGE_BUDGET:
         raise ResourceLimitError(
-            f"storing {steps} states needs {steps * 8} bytes > budget {storage_budget}; use iter_chain"
+            f"storing {steps} states needs {steps * 8} bytes > budget {STORAGE_BUDGET}; use iter_chain"
         )
     if steps < 1:
         raise ValueError("steps must be >= 1")
     gen = as_generator(rng)
     chain = _chain_bits(initial.sample(params, gen).bits, steps, kind, params, gen)
     return Trajectory(params=params, kind=kind, states=np.fromiter(chain, dtype=np.uint64, count=steps))
-
-
-def ergodic_average(f: Callable[[Configuration], float], trajectory) -> float:
-    """(1/M) sum_k f(Y_k) over a Trajectory or any iterable of configurations."""
-    total = 0.0
-    count = 0
-    for cfg in trajectory:
-        total += f(cfg)
-        count += 1
-    if count == 0:
-        raise ValueError("empty trajectory")
-    return total / count
 
 
 def hitting_time_aligned(initial: Configuration, rng) -> int:

@@ -189,25 +189,6 @@ def ergodic_l2_bound(j_hat: float, n: int, m: int, f_norm: float) -> tuple:
     return avg_bound, traj_bound
 
 
-def geometric_sum_helpers(m: int, x: float) -> tuple:
-    """The pair (C(M,x), C_hat(M,x)) used in the ergodic-average analysis.
-
-    C(M,x) = sum_{k=1}^M x^k and
-    C_hat(M,x) = 1 + (2/M)(x(M-1) - x^2 M + x^{M+1}) / (1-x)^2,
-    for x in [-1, 1); C_hat is monotone increasing on that interval and is
-    bounded by 2/(1-x) on [0, 1).
-    """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    if not -1.0 <= x < 1.0:
-        raise ValueError("x must lie in [-1, 1)")
-    if x == 0.0:
-        return 0.0, 1.0
-    c = x * (1.0 - x**m) / (1.0 - x)
-    c_hat = 1.0 + (2.0 / m) * (x * (m - 1) - x**2 * m + x ** (m + 1)) / (1.0 - x) ** 2
-    return c, c_hat
-
-
 # ---------------------------------------------------------------------------
 # Test-function families for the certification sweep
 # ---------------------------------------------------------------------------
@@ -381,12 +362,13 @@ def certification_sweep(
     decomposition: SpectralDecomposition,
     n_random: int,
     rng,
-    adversarial: bool = True,
 ) -> list:
-    """Certify the LSI and Poincare inequalities on random + structured functions.
+    """Certify the LSI and Poincare inequalities on random, structured and adversarial functions.
 
-    Random functions have i.i.d. standard normal components; the sweep is
-    vectorized (quadratic-form Dirichlet energies). Returns InequalityReport rows.
+    Random functions have i.i.d. standard normal components; the two
+    ratio-ascent adversaries (one per inequality) draw from ``rng`` after
+    them. The sweep is vectorized (quadratic-form Dirichlet energies).
+    Returns InequalityReport rows.
     """
     gen = as_generator(rng)
     j_hat = kernel.params.require_finite("certification_sweep")
@@ -398,11 +380,10 @@ def certification_sweep(
     structured = structured_test_functions(decomposition, n)
     for family, vec in structured:
         batches.append((family, vec[None, :]))
-    if adversarial:
-        adv = ratio_ascent_adversary(kernel, measure, gen, target="lsi", restarts=20, sweeps=30)
-        batches.append(("adversarial", adv[None, :]))
-        adv_p = ratio_ascent_adversary(kernel, measure, gen, target="poincare", restarts=20, sweeps=30)
-        batches.append(("adversarial", adv_p[None, :]))
+    adv = ratio_ascent_adversary(kernel, measure, gen, target="lsi", restarts=20, sweeps=30)
+    batches.append(("adversarial", adv[None, :]))
+    adv_p = ratio_ascent_adversary(kernel, measure, gen, target="poincare", restarts=20, sweeps=30)
+    batches.append(("adversarial", adv_p[None, :]))
 
     results = []
     for family, fs in batches:

@@ -21,7 +21,8 @@ and reads how many sites of C's vertex boundary A holds.
 arrays over all source states, one arc mask at a time; there the component
 form reads the component's extent from the run lengths of the arc law. The
 scalar forms ``wolff_entry_from_boundary``/``wolff_entry_from_components``
-take any flip set, connected or not, and are the oracle for the arrays.
+take any flip set, connected or not, and are the oracle for the arrays; the
+boundary form is the entry P(sigma, sigma^A) that callers read.
 
 The kernel builder only visits the N(N-1)+1 connected arc masks per ring
 (all other columns are zero), vectorizing over source states. Each kernel
@@ -32,7 +33,6 @@ over all 4^N state pairs.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,7 +49,7 @@ from .model import (
     derived_constants,
 )
 from .clusters import FlipSet, decompose, edge_boundary, is_connected, vertex_boundary
-from .dynamics import GLAUBER, WOLFF, _wolff_step_bits, glauber_step
+from .dynamics import GLAUBER, WOLFF
 from .dynamics import _arc_draws, _arc_flip_masks, _arc_runs, _glauber_flip_probs
 from .randomness import as_generator
 
@@ -152,11 +152,6 @@ def wolff_entry_from_components(config: Configuration, flipset: FlipSet, params:
     if touched == 1:
         return (m / n) * c.bond_prob ** (m - 1) * c.bond_miss
     return (m / n) * c.bond_prob ** (m - 1)
-
-
-def wolff_entry(config: Configuration, flipset: FlipSet, params: ModelParams) -> float:
-    """Wolff transition probability P(sigma, sigma^A) (edge-boundary form)."""
-    return wolff_entry_from_boundary(config, flipset, params)
 
 
 def _arc_masks(n: int):
@@ -263,23 +258,6 @@ def glauber_flip_probability(config: Configuration, site: int, params: ModelPara
     return float(flip_probs[(config.spin(site - 1) == s_i) + (config.spin(site + 1) == s_i)])
 
 
-def glauber_flip_probability_from_components(config: Configuration, site: int, params: ModelParams) -> float:
-    """Same probability from the component case analysis (cross-check form)."""
-    j_hat = params.require_finite("glauber_flip_probability_from_components")
-    _check_site(config, site, params)
-    e2, em2 = math.exp(2.0 * j_hat), math.exp(-2.0 * j_hat)
-    dec = decompose(config)
-    if dec.plus_count == 0 or dec.minus_count == 0:
-        return em2 / (e2 + em2)
-    bit = 1 << (site - 1)
-    comp = next(c for c in dec.components() if c & bit)
-    if comp == bit:
-        return e2 / (e2 + em2)
-    if vertex_boundary(FlipSet(comp, params.n)) & bit:
-        return 0.5
-    return em2 / (e2 + em2)
-
-
 def build_glauber_kernel(params: ModelParams) -> TransitionKernel:
     """Assemble the exact heat-bath kernel; off-diagonal support is single flips."""
     flip_probs = _glauber_flip_probs(params.require_finite("build_glauber_kernel"))
@@ -356,27 +334,6 @@ def symmetrize_and_decompose(kernel: TransitionKernel, measure: GibbsMeasure) ->
     return SpectralDecomposition(eigenvalues=eigvals, basis=basis, measure=measure)
 
 
-def spectral_gap(decomposition: SpectralDecomposition) -> float:
-    """1 - lambda_2 of the decomposed kernel."""
-    return decomposition.gap
-
-
-def hypercube_walk_spectrum(n: int, lazy: bool = False) -> np.ndarray:
-    """Independent analytic spectrum of the uniform single-flip walk.
-
-    Characters chi_S diagonalize the flip average with eigenvalue 1 - 2|S|/N
-    (1 - |S|/N for the lazy half-step walk), each |S|=k appearing C(N,k)
-    times. Used as the oracle for the numeric decomposition at j_hat = 0.
-    """
-    from math import comb
-
-    values = []
-    for k in range(n + 1):
-        lam = 1.0 - (k / n if lazy else 2.0 * k / n)
-        values.extend([lam] * comb(n, k))
-    return np.sort(np.array(values))[::-1]
-
-
 Z_MAX = 4.0
 
 
@@ -429,47 +386,17 @@ def _one_step_counts_bulk(
     return np.bincount(state_bits ^ flips, minlength=size)
 
 
-def _one_step_counts_stack(
-    state_bits: int, kernel: TransitionKernel, trials: int, gen: np.random.Generator
-) -> np.ndarray:
-    n = kernel.n
-    counts = np.zeros(kernel.size, dtype=np.int64)
-    if kernel.kind == WOLFF:
-        bond_prob = derived_constants(kernel.params).bond_prob
-        for _ in range(trials):
-            counts[_wolff_step_bits(state_bits, n, bond_prob, gen)] += 1
-    else:
-        cfg = Configuration(state_bits, n)
-        for _ in range(trials):
-            counts[glauber_step(cfg, kernel.params, gen).bits] += 1
-    return counts
-
-
-def empirical_vs_exact(
-    kernel: TransitionKernel,
-    params: ModelParams,
-    trials: int,
-    rng,
-    method: str = "bulk",
-    states=None,
-) -> EmpiricalCheck:
-    """Validate the sampler against the kernel: one-step frequencies per start state.
-
-    ``method`` selects the vectorized bulk sampler or the reference stack
-    sampler (same law, different RNG consumption). ``states`` restricts the
-    start states (default: all of them).
-    """
+def empirical_vs_exact(kernel: TransitionKernel, params: ModelParams, trials: int, rng) -> EmpiricalCheck:
+    """Validate the bulk sampler against the kernel: one-step frequencies from every start state."""
     _check_empirical_size(params.n)
     gen = as_generator(rng)
-    sampler = _one_step_counts_bulk if method == "bulk" else _one_step_counts_stack
-    state_list = range(kernel.size) if states is None else states
     max_z = 0.0
     worst_state = -1
     tests = 0
     off_support = 0
-    for s in state_list:
+    for s in range(kernel.size):
         row = kernel.matrix[s]
-        counts = sampler(int(s), kernel, trials, gen)
+        counts = _one_step_counts_bulk(s, kernel, trials, gen)
         off_support += int(counts[row == 0.0].sum())
         expected = trials * row
         keep = expected >= 10.0
@@ -496,7 +423,7 @@ def empirical_vs_exact(
         state_max = float(z_all.max())
         if state_max > max_z:
             max_z = state_max
-            worst_state = int(s)
+            worst_state = s
     return EmpiricalCheck(max_z=max_z, tests=tests, off_support=off_support, worst_state=worst_state, trials=trials)
 
 
@@ -504,56 +431,10 @@ _DUMP_MAGIC = b"IRK1"
 
 
 def write_matrix_dump(path, n: int, j_hat: float, matrix: np.ndarray):
-    """Binary dump: magic, little-endian int64 n, float64 j_hat, row-major float64 entries."""
+    """Binary dump of the side-n covariance matrix of ``spectra --save-matrix 1``:
+    magic, little-endian int64 n, float64 j_hat, row-major float64 entries."""
     with open(path, "wb") as fh:
         fh.write(_DUMP_MAGIC)
         fh.write(struct.pack("<q", n))
         fh.write(struct.pack("<d", j_hat))
         fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
-
-
-def read_matrix_dump(path):
-    """Inverse of write_matrix_dump; returns (n, j_hat, matrix).
-
-    Raises ValueError unless the payload is a square float64 matrix of side
-    n (a covariance dump) or 2^n (a kernel dump).
-    """
-    with open(path, "rb") as fh:
-        header = fh.read(20)
-        payload = fh.read()
-    if header[:4] != _DUMP_MAGIC:
-        raise ValueError("not a kernel/matrix dump")
-    if len(header) < 20:
-        raise ValueError("truncated dump header")
-    n, j_hat = struct.unpack("<qd", header[4:])
-    if len(payload) % 8:
-        raise ValueError(f"dump payload of {len(payload)} bytes is not a whole number of float64 entries")
-    data = np.frombuffer(payload, dtype="<f8")
-    side = math.isqrt(data.size)
-    if side * side != data.size:
-        raise ValueError(f"dump payload of {data.size} entries is not a square matrix")
-    if side != n and not (0 <= n < 64 and side == 1 << n):
-        raise ValueError(f"dump matrix side {side} is neither n={n} nor 2^n")
-    return n, j_hat, data.reshape(side, side).copy()
-
-
-def kernel_j_float(params: ModelParams) -> float:
-    """Coupling as a float for serialization; the critical point maps to inf."""
-    return float("inf") if params.is_critical else float(params.j_hat)
-
-
-def export_kernel_csv(kernel: TransitionKernel, path):
-    """Nonzero entries as CSV rows (state-index, state-bits, target-index, probability).
-
-    state-bits renders site 1 first with '1' for spin +1.
-    """
-    n = kernel.n
-    src, dst, prob = kernel.support
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("state_index,state_bits,target_index,probability\n")
-        for s, t, p in zip(src.tolist(), dst.tolist(), prob.tolist()):
-            fh.write(f"{s},{format(s, f'0{n}b')[::-1]},{t},{p!r}\n")
-
-
-def export_kernel_binary(kernel: TransitionKernel, path):
-    write_matrix_dump(path, kernel.n, kernel_j_float(kernel.params), kernel.matrix)

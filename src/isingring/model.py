@@ -1,10 +1,9 @@
 """Exact finite-size quantities for the 1D Ising ring.
 
 Everything here is closed-form or a direct enumeration: Hamiltonian, Gibbs
-measure, partition function (transfer-matrix and brute-force), two-point
-correlations and the susceptibility row sum. Spin configurations are
-bit-packed integers (bit b = 1 means spin +1 at site b+1); public site
-indices are 1-based.
+measure, transfer-matrix partition function, two-point correlations and the
+susceptibility row sum. Spin configurations are bit-packed integers (bit
+b = 1 means spin +1 at site b+1); public site indices are 1-based.
 
 The zero-temperature critical coupling is the sentinel ``INFINITE`` rather
 than ``float('inf')`` so that derived constants are set exactly and
@@ -128,9 +127,6 @@ class Configuration:
     def spins(self) -> tuple:
         return tuple(2 * ((self.bits >> b) & 1) - 1 for b in range(self.n))
 
-    def to_array(self) -> np.ndarray:
-        return np.array(self.spins(), dtype=np.int8)
-
     def flip(self, mask: int) -> "Configuration":
         """Flip the spins at the bit positions set in ``mask``."""
         return Configuration(self.bits ^ (mask & ((1 << self.n) - 1)), self.n)
@@ -240,13 +236,6 @@ def bond_sum_all_states(n: int) -> np.ndarray:
     states = np.arange(1 << n, dtype=np.int64)
     # int64: a uint8 count would wrap n - 2 * frustrated
     return n - 2 * np.bitwise_count(states ^ _rotated_bits(states, n)).astype(np.int64)
-
-
-def partition_function_brute(params: ModelParams) -> float:
-    """Direct sum of exp(J * bond sum) over all 2^N states; the oracle for Z."""
-    j = params.require_finite("partition_function_brute")
-    sums = bond_sum_all_states(params.n)
-    return float(np.exp(j * sums.astype(np.float64)).sum())
 
 
 def gibbs_probability(config: Configuration, params: ModelParams) -> float:

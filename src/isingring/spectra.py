@@ -1,13 +1,12 @@
-"""Microstate ensembles, the sample covariance/correlation matrices, their
-spectra, Gershgorin bounds, and the per-cell evaluation of the condensation
-experiment contrasting the subcritical regime with the critical point.
+"""Sample covariance matrices of chain runs, their spectra, Gershgorin
+bounds, and the per-cell evaluation of the condensation experiment
+contrasting the subcritical regime with the critical point.
 
-A trajectory Y_1..Y_M becomes the N x M ensemble of unit columns
-X_k = Y_k / sqrt(N); the covariance matrix is X X^T / M (trace 1) and the
-correlation matrix X^T X / M shares its nonzero spectrum. Covariance
-accumulation is streaming (block rank updates), so M = 10^7 runs in O(N^2)
-memory; error bars come from 20 contiguous batch means because successive
-chain states are correlated.
+A trajectory Y_1..Y_M gives the N x M ensemble of unit columns
+X_k = Y_k / sqrt(N), and the covariance matrix is K = X X^T / M (trace 1).
+Covariance accumulation is streaming (block rank updates), so M = 10^7 runs
+in O(N^2) memory without storing the ensemble; error bars come from 20
+contiguous batch means because successive chain states are correlated.
 """
 
 from __future__ import annotations
@@ -26,12 +25,7 @@ from .model import (
     susceptibility_closed_form_bound,
 )
 from .clusters import decompose
-from .dynamics import (
-    Trajectory,
-    _chain_bits,
-    decode_states,
-    sample_stationary,
-)
+from .dynamics import _chain_bits, decode_states, sample_stationary
 from .functionals import lsi_constant_bound
 from .randomness import as_generator
 
@@ -39,36 +33,6 @@ DEFAULT_BATCHES = 20
 
 #: Covariance runs decode and accumulate at most this many states at once.
 ACCUMULATE_BLOCK = 8192
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """Unit-norm microstate columns X_k = Y_k/sqrt(N), shape (n, m)."""
-
-    x: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.x.shape[1]
-
-
-def build_ensemble(trajectory: Trajectory) -> Ensemble:
-    spins = trajectory.spin_matrix().astype(np.float64)
-    return Ensemble(x=spins.T / math.sqrt(trajectory.params.n))
-
-
-def covariance_matrix(ensemble: Ensemble) -> np.ndarray:
-    """K = X X^T / M; symmetric PSD with unit trace."""
-    return ensemble.x @ ensemble.x.T / ensemble.m
-
-
-def correlation_matrix(ensemble: Ensemble) -> np.ndarray:
-    """C = X^T X / M; trace 1, diagonal 1/M, same nonzero spectrum as K."""
-    return ensemble.x.T @ ensemble.x / ensemble.m
 
 
 class CovarianceAccumulator:
@@ -117,36 +81,6 @@ def gershgorin_norm(matrix: np.ndarray) -> float:
     """Max absolute row sum; upper-bounds the spectral radius."""
     m = np.asarray(matrix, dtype=np.float64)
     return float(np.abs(m).sum(axis=1).max())
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Sorted spectrum of a covariance matrix with its norm bounds.
-
-    For PSD input the spectral radius is the top eigenvalue and never
-    exceeds the Gershgorin norm; the eigenvalues sum to the trace.
-    """
-
-    eigenvalues: np.ndarray
-    gershgorin: float
-    spectral_radius: float
-
-    @property
-    def lambda1(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def lambda2(self) -> float:
-        return float(self.eigenvalues[1])
-
-
-def spectrum_report(matrix: np.ndarray) -> SpectrumReport:
-    values = eigenvalues_symmetric(matrix)
-    return SpectrumReport(
-        eigenvalues=values,
-        gershgorin=gershgorin_norm(matrix),
-        spectral_radius=float(np.abs(values).max()),
-    )
 
 
 def exact_limit_covariance(params: ModelParams) -> np.ndarray:
@@ -218,25 +152,18 @@ class CovarianceRun:
         return self.batch_matrices.std(axis=0, ddof=1) / math.sqrt(k)
 
 
-def run_covariance_chain(
-    params: ModelParams,
-    m: int,
-    kind: str,
-    rng,
-    initial: Optional[Configuration] = None,
-) -> CovarianceRun:
+def run_covariance_chain(params: ModelParams, m: int, kind: str, rng) -> CovarianceRun:
     """Drive one chain for m states and stream-accumulate its covariance.
 
-    Finite coupling defaults to an exact stationary start; the critical point
-    defaults to a uniform random start and records the aligned hitting index.
+    Finite coupling starts from an exact stationary draw; the critical point
+    starts from a uniform random state and records the aligned hitting index.
     """
     gen = as_generator(rng)
     n = params.n
-    if initial is None:
-        if params.is_critical:
-            initial = Configuration(int(gen.integers(0, 1 << n)), n)
-        else:
-            initial = sample_stationary(params, gen)
+    if params.is_critical:
+        initial = Configuration(int(gen.integers(0, 1 << n)), n)
+    else:
+        initial = sample_stationary(params, gen)
 
     boundaries = np.linspace(0, m, DEFAULT_BATCHES + 1, dtype=np.int64).tolist()
     batch_accums = [CovarianceAccumulator(n) for _ in range(DEFAULT_BATCHES)]

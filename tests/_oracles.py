@@ -8,10 +8,18 @@ it scores them with, ``per_step_chain_bits``, the package's chain
 arithmetic before its block loops, and ``per_state_simulate_sums``, the
 simulate command's sums before its uint64 blocks; these two check the
 package bit for bit.
+
+The reference forms at the end of the module (stored-ensemble covariance,
+stack one-step counts, the component form of the Glauber flip probability,
+the brute-force partition function, the covariance dump reader) were once
+part of the package and only the tests read them; they use the package's
+data types and, where they say so, its enumeration helpers.
 """
 
 import itertools
 import math
+import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,18 +166,6 @@ def percolation_step_distribution(spins, j):
             target = tuple(-s if idx in comp else s for idx, s in enumerate(spins))
             dist[target] = dist.get(target, 0.0) + weight / n
     return dist
-
-
-def c_hat_direct(m, x):
-    """1 + (2/m) sum_{1<=l<k<=m} x^{k-l}, the double-sum form."""
-    total = 0.0
-    for d in range(1, m):
-        total += (m - d) * x**d
-    return 1.0 + 2.0 * total / m
-
-
-def geometric_sum_direct(m, x):
-    return sum(x**k for k in range(1, m + 1))
 
 
 def dense_dirichlet_form(f, matrix, mu):
@@ -334,3 +330,140 @@ def full_ratio_ascent_adversary(kernel, measure, rng, target="lsi", restarts=100
         if current > best_ratio:
             best_ratio, best_vec = current, vec
     return best_vec
+
+
+def hypercube_walk_spectrum(n, lazy=False):
+    """Analytic spectrum of the uniform single-flip walk, descending.
+
+    Characters chi_S diagonalize the flip average with eigenvalue 1 - 2|S|/N
+    (1 - |S|/N for the lazy half-step walk), each |S|=k appearing C(N,k)
+    times. The oracle for the numeric decomposition at j_hat = 0.
+    """
+    values = []
+    for k in range(n + 1):
+        lam = 1.0 - (k / n if lazy else 2.0 * k / n)
+        values.extend([lam] * math.comb(n, k))
+    return np.sort(np.array(values))[::-1]
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """Unit-norm microstate columns X_k = Y_k/sqrt(N), shape (n, m)."""
+
+    x: np.ndarray
+
+    @property
+    def m(self):
+        return self.x.shape[1]
+
+
+def build_ensemble(trajectory):
+    """The stored ensemble of a ``Trajectory``, decoded in one piece."""
+    from isingring.dynamics import decode_states
+
+    spins = decode_states(trajectory.states, trajectory.params.n).astype(np.float64)
+    return Ensemble(x=spins.T / math.sqrt(trajectory.params.n))
+
+
+def covariance_matrix(ensemble):
+    """K = X X^T / M; symmetric PSD with unit trace."""
+    return ensemble.x @ ensemble.x.T / ensemble.m
+
+
+def correlation_matrix(ensemble):
+    """C = X^T X / M; trace 1, diagonal 1/M, same nonzero spectrum as K."""
+    return ensemble.x.T @ ensemble.x / ensemble.m
+
+
+def ergodic_average(f, configurations):
+    """(1/M) sum_k f(Y_k) over a Trajectory or any iterable of configurations."""
+    total = 0.0
+    count = 0
+    for cfg in configurations:
+        total += f(cfg)
+        count += 1
+    if count == 0:
+        raise ValueError("empty trajectory")
+    return total / count
+
+
+def one_step_counts_stack(state_bits, kernel, trials, gen):
+    """One-step target counts from ``state_bits`` by the reference stack steppers.
+
+    Takes the place of ``kernel._one_step_counts_bulk`` in
+    ``empirical_vs_exact``: the same law, but one ``wolff_step``-style
+    cluster growth (or ``glauber_step``) per trial.
+    """
+    from isingring import Configuration, derived_constants
+    from isingring.dynamics import WOLFF, _wolff_step_bits, glauber_step
+
+    n = kernel.n
+    counts = np.zeros(kernel.size, dtype=np.int64)
+    if kernel.kind == WOLFF:
+        bond_prob = derived_constants(kernel.params).bond_prob
+        for _ in range(trials):
+            counts[_wolff_step_bits(state_bits, n, bond_prob, gen)] += 1
+    else:
+        cfg = Configuration(state_bits, n)
+        for _ in range(trials):
+            counts[glauber_step(cfg, kernel.params, gen).bits] += 1
+    return counts
+
+
+def glauber_flip_probability_from_components(config, site, params):
+    """Heat-bath flip probability of 1-based ``site`` from the component case analysis.
+
+    The cross-check form of ``kernel.glauber_flip_probability``; reads the
+    package's component decomposition.
+    """
+    from isingring import FlipSet, decompose, vertex_boundary
+    from isingring.kernel import _check_site
+
+    j_hat = params.require_finite("glauber_flip_probability_from_components")
+    _check_site(config, site, params)
+    e2, em2 = math.exp(2.0 * j_hat), math.exp(-2.0 * j_hat)
+    dec = decompose(config)
+    if dec.plus_count == 0 or dec.minus_count == 0:
+        return em2 / (e2 + em2)
+    bit = 1 << (site - 1)
+    comp = next(c for c in dec.components() if c & bit)
+    if comp == bit:
+        return e2 / (e2 + em2)
+    if vertex_boundary(FlipSet(comp, params.n)) & bit:
+        return 0.5
+    return em2 / (e2 + em2)
+
+
+def partition_function_brute(params):
+    """Direct sum of exp(J * bond sum) over all 2^N states, from the package's
+    bond-sum table (which refuses n above its enumeration cap)."""
+    from isingring.model import bond_sum_all_states
+
+    j = params.require_finite("partition_function_brute")
+    sums = bond_sum_all_states(params.n)
+    return float(np.exp(j * sums.astype(np.float64)).sum())
+
+
+def read_matrix_dump(path):
+    """Inverse of ``kernel.write_matrix_dump``: (n, j_hat, matrix) of a side-n dump.
+
+    Raises ValueError naming the defect unless the payload is a square
+    float64 matrix of side n.
+    """
+    with open(path, "rb") as fh:
+        header = fh.read(20)
+        payload = fh.read()
+    if header[:4] != b"IRK1":
+        raise ValueError("not a matrix dump")
+    if len(header) < 20:
+        raise ValueError("truncated dump header")
+    n, j_hat = struct.unpack("<qd", header[4:])
+    if len(payload) % 8:
+        raise ValueError(f"dump payload of {len(payload)} bytes is not a whole number of float64 entries")
+    data = np.frombuffer(payload, dtype="<f8")
+    side = math.isqrt(data.size)
+    if side * side != data.size:
+        raise ValueError(f"dump payload of {data.size} entries is not a square matrix")
+    if side != n:
+        raise ValueError(f"dump matrix side {side} is not n={n}")
+    return n, j_hat, data.reshape(side, side).copy()

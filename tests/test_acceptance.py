@@ -35,20 +35,20 @@ from isingring import (
     exact_limit_covariance,
     gershgorin_norm,
     gibbs_measure,
-    hypercube_walk_spectrum,
     khat_norm_bound,
     lsi_constant_bound,
     poincare_constant_bound,
     run_chain,
     run_covariance_chain,
     sample_stationary_many,
-    spectral_gap,
     subcritical_norm_bound,
     symmetrize_and_decompose,
     two_point_correlation,
     wolff_step_many,
 )
 from isingring.functionals import SLACK_TOLERANCE, ratio_ascent_adversary, certify_lsi
+
+import _oracles as oracle
 
 J_GRID = [0.0, 0.25, 0.5, 1.0, 2.0]
 SEED = 31415926
@@ -85,7 +85,7 @@ def test_criterion_2_sampler_formula_agreement():
     for idx, j in enumerate([0.25, 1.0]):
         params = ModelParams(6, j)
         kernel = build_wolff_kernel(params)
-        check = empirical_vs_exact(kernel, params, 10**6, RngStream(SEED, idx), method="bulk")
+        check = empirical_vs_exact(kernel, params, 10**6, RngStream(SEED, idx))
         worst = max(worst, check.max_z)
         off_support += check.off_support
     elapsed = time.monotonic() - t0
@@ -108,8 +108,8 @@ def test_criterion_3_hypercube_reduction():
             uniform[states, states ^ (1 << b)] = 1.0 / n
         exact_kernel = exact_kernel and np.array_equal(kernel.matrix, uniform)
         dec = symmetrize_and_decompose(kernel, gibbs_measure(params))
-        worst_spec = max(worst_spec, float(np.abs(dec.eigenvalues - hypercube_walk_spectrum(n)).max()))
-        worst_gap = max(worst_gap, abs(spectral_gap(dec) - 2.0 / n))
+        worst_spec = max(worst_spec, float(np.abs(dec.eigenvalues - oracle.hypercube_walk_spectrum(n)).max()))
+        worst_gap = max(worst_gap, abs(dec.gap - 2.0 / n))
         exact_constant = exact_constant and lsi_constant_bound(0.0, n) == float(n)
     ok = exact_kernel and worst_spec <= 1e-10 and worst_gap <= 1e-10 and exact_constant
     report(3, "hypercube reduction at zero coupling", ok,
@@ -128,13 +128,12 @@ def test_criterion_4_functional_inequalities():
             kernel = build_wolff_kernel(params)
             measure = gibbs_measure(params)
             dec = symmetrize_and_decompose(kernel, measure)
-            results = certification_sweep(kernel, measure, dec, 10**4, RngStream(SEED, 100 + count),
-                                          adversarial=False)
+            results = certification_sweep(kernel, measure, dec, 10**4, RngStream(SEED, 100 + count))
             count += 1
             worst_slack = min(worst_slack, min(r.slack for r in results))
             if any(not r.passed for r in results):
                 report(4, "functional inequalities", False, f"violation at n={n} j={j}")
-            spectral_ok = spectral_ok and (1.0 / spectral_gap(dec) <= poincare_constant_bound(j, n) * (1 + 1e-9))
+            spectral_ok = spectral_ok and (1.0 / dec.gap <= poincare_constant_bound(j, n) * (1 + 1e-9))
     # full-strength adversarial search at the largest size
     for j in J_GRID:
         params = ModelParams(8, j)

@@ -93,6 +93,9 @@ class TestExitCodes:
         ["spectra", "--n", "8", "--j-hat", "0.5", "--m", "39"],
         ["sweep", "--j-hat", "0.5", "--n-list", "3,8"],
         ["sweep", "--j-hat", "0.5", "--n-list", "4", "--threads", "2"],
+        # the monotonicity rule compares sizes in list order
+        ["sweep", "--j-hat", "0.5", "--n-list", "16,8"],
+        ["sweep", "--j-hat", "0.5", "--n-list", "8,8"],
     ])
     def test_invalid_input_exits_2_with_one_line(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -101,6 +104,36 @@ class TestExitCodes:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["False", "maybe", ""])
+    def test_save_matrix_rejects_other_values(self, value, source, tmp_path, capsys):
+        # the switch takes exactly 0/1/false/true/no/yes; anything else writes nothing
+        out = tmp_path / "out"
+        argv = ["spectra", "--n", "8", "--j-hat", "0.5", "--m", "400", "--out", str(out)]
+        if source == "flag":
+            argv += ["--save-matrix", value]
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"save-matrix={value}\n")
+            argv += ["--config", str(conf)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: invalid value for --save-matrix: {value!r} "
+                                "is not one of 0, 1, false, true, no, yes\n")
+        assert not out.exists()
+
+    def test_save_matrix_values_keep_their_config_hash(self):
+        # the hash records the parsed switch; these are the hashes version 0.5.0
+        # wrote for the accepted spellings, the off one also with no --save-matrix
+        base = ["spectra", "--n", "8", "--j-hat", "0.5", "--m", "400"]
+        assert parse_config(base).hash() == "657a1e2da8c3674c"
+        for value, expected in [("0", False), ("false", False), ("no", False),
+                                ("1", True), ("true", True), ("yes", True)]:
+            config = parse_config(base + ["--save-matrix", value])
+            assert config.save_matrix is expected
+            assert config.hash() == ("4652688239611cf3" if expected else "657a1e2da8c3674c")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("argv", [
@@ -288,13 +321,12 @@ class TestParallelismAndArtifacts:
         assert rows == expected
 
     def test_spectra_save_matrix_round_trip(self, tmp_path):
-        from isingring import read_matrix_dump
         import numpy as np
 
         code = main(["spectra", "--n", "6", "--j-hat", "0.5", "--m", "2000",
                      "--save-matrix", "1", "--out", str(tmp_path)])
         assert code == 0
-        n, j, mat = read_matrix_dump(tmp_path / "covariance.bin")
+        n, j, mat = oracle.read_matrix_dump(tmp_path / "covariance.bin")
         assert n == 6 and j == 0.5
         assert np.trace(mat) == pytest.approx(1.0, abs=1e-12)
 

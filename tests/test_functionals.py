@@ -18,12 +18,10 @@ from isingring import (
     dirichlet_form,
     entropy,
     ergodic_l2_bound,
-    geometric_sum_helpers,
     gibbs_measure,
     indicator_function,
     lsi_constant_bound,
     poincare_constant_bound,
-    spectral_gap,
     symmetrize_and_decompose,
     two_point_correlation,
     variance,
@@ -232,7 +230,7 @@ class TestCertification:
         xi2 = dec.basis[:, 1]
         var = variance(xi2, measure)
         energy = dirichlet_form(xi2, kernel, measure)
-        assert var / energy == pytest.approx(1.0 / spectral_gap(dec), rel=1e-9)
+        assert var / energy == pytest.approx(1.0 / dec.gap, rel=1e-9)
         assert certify_poincare(xi2, kernel, measure).passed
 
     def test_adversarial_search_passes(self, setup_n6):
@@ -270,7 +268,7 @@ class TestCertification:
         kernel = build_glauber_kernel(params)
         measure = gibbs_measure(params)
         dec = symmetrize_and_decompose(kernel, measure)
-        constant = 2.0 / spectral_gap(dec)
+        constant = 2.0 / dec.gap
         gen = np.random.default_rng(7)
         for _ in range(50):
             assert certify_poincare(gen.standard_normal(32), kernel, measure, constant=constant).passed
@@ -368,34 +366,3 @@ class TestErgodicBounds:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             ergodic_l2_bound(0.5, 8, 0, 1.0)
-
-
-class TestGeometricHelpers:
-    def test_zero_point(self):
-        c, c_hat = geometric_sum_helpers(10, 0.0)
-        assert c == 0.0 and c_hat == 1.0
-
-    def test_finite_sum_example(self):
-        c, _ = geometric_sum_helpers(3, 0.5)
-        assert c == pytest.approx(7 / 8, abs=1e-15)
-
-    def test_matches_direct_sums(self):
-        for m in (1, 2, 5, 17):
-            for x in (-1.0, -0.5, 0.0, 0.3, 0.9, 0.99):
-                c, c_hat = geometric_sum_helpers(m, x)
-                assert c == pytest.approx(oracle.geometric_sum_direct(m, x), abs=1e-12)
-                assert c_hat == pytest.approx(oracle.c_hat_direct(m, x), rel=1e-9, abs=1e-12)
-
-    def test_monotone_and_bounded(self):
-        m = 25
-        grid = np.linspace(-1.0, 0.999, 400)
-        values = [geometric_sum_helpers(m, float(x))[1] for x in grid]
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-        for x in np.linspace(0.0, 0.999, 200):
-            assert geometric_sum_helpers(m, float(x))[1] <= 2.0 / (1.0 - float(x)) + 1e-12
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            geometric_sum_helpers(10, 1.0)
-        with pytest.raises(ValueError):
-            geometric_sum_helpers(10, -1.5)

@@ -13,21 +13,15 @@ from isingring import (
     build_wolff_kernel,
     check_detailed_balance,
     empirical_vs_exact,
-    export_kernel_csv,
     gibbs_measure,
     glauber_flip_probability,
-    glauber_flip_probability_from_components,
-    hypercube_walk_spectrum,
     poincare_constant_bound,
-    read_matrix_dump,
-    spectral_gap,
     symmetrize_and_decompose,
     wolff_dual_form_disagreement,
-    wolff_entry,
     wolff_entry_from_boundary,
     wolff_entry_from_components,
 )
-from isingring.kernel import TransitionKernel, _wolff_dual_form_columns, export_kernel_binary, write_matrix_dump
+from isingring.kernel import TransitionKernel, _wolff_dual_form_columns, write_matrix_dump
 from isingring.randomness import RngStream
 
 import _oracles as oracle
@@ -47,7 +41,7 @@ class TestWolffEntry:
     def test_full_flip_value(self):
         # bond_prob = 3/4, bond_miss = 1/4 at e^{2J} = 4
         p = ModelParams(3, math.log(2.0))
-        value = wolff_entry(Configuration.all_plus(3), FlipSet.arc(1, 3, 3), p)
+        value = wolff_entry_from_boundary(Configuration.all_plus(3), FlipSet.arc(1, 3, 3), p)
         assert value == pytest.approx((3 * 0.25 + 0.75) * 0.75**2, abs=1e-15)
         assert value == pytest.approx(27 / 32, abs=1e-15)
 
@@ -63,7 +57,7 @@ class TestWolffEntry:
         }
         total = 0.0
         for sites, expected in cases.items():
-            value = wolff_entry(sigma, FlipSet.from_sites(sites, 3), p)
+            value = wolff_entry_from_boundary(sigma, FlipSet.from_sites(sites, 3), p)
             assert value == pytest.approx(expected, abs=1e-15)
             total += value
         assert total == pytest.approx(1.0, abs=1e-15)
@@ -72,19 +66,19 @@ class TestWolffEntry:
         p = ModelParams(5, 0.0)
         sigma = Configuration.from_spins([1, -1, 1, 1, -1])
         for site in range(1, 6):
-            assert wolff_entry(sigma, FlipSet.from_sites([site], 5), p) == pytest.approx(1 / 5, abs=1e-16)
-        assert wolff_entry(sigma, FlipSet.from_sites([3, 4], 5), p) == 0.0
+            assert wolff_entry_from_boundary(sigma, FlipSet.from_sites([site], 5), p) == pytest.approx(1 / 5, abs=1e-16)
+        assert wolff_entry_from_boundary(sigma, FlipSet.from_sites([3, 4], 5), p) == 0.0
 
     def test_disconnected_and_misaligned_are_zero(self):
         p = ModelParams(6, 0.8)
         sigma = Configuration.from_spins([1, 1, -1, -1, 1, 1])
-        assert wolff_entry(sigma, FlipSet.from_sites([1, 4], 6), p) == 0.0
-        assert wolff_entry(sigma, FlipSet.from_sites([2, 3], 6), p) == 0.0  # connected but not aligned
-        assert wolff_entry(sigma, FlipSet.arc(1, 6, 6), p) == 0.0  # full flip from a mixed state
+        assert wolff_entry_from_boundary(sigma, FlipSet.from_sites([1, 4], 6), p) == 0.0
+        assert wolff_entry_from_boundary(sigma, FlipSet.from_sites([2, 3], 6), p) == 0.0  # connected but not aligned
+        assert wolff_entry_from_boundary(sigma, FlipSet.arc(1, 6, 6), p) == 0.0  # full flip from a mixed state
 
     def test_empty_flip_set_rejected(self):
         with pytest.raises(ValueError):
-            wolff_entry(Configuration.all_plus(4), FlipSet(0, 4), ModelParams(4, 0.5))
+            wolff_entry_from_boundary(Configuration.all_plus(4), FlipSet(0, 4), ModelParams(4, 0.5))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_dual_forms_agree_exhaustively(self, n):
@@ -283,7 +277,7 @@ class TestGlauberKernel:
             cfg = Configuration(bits, n)
             for site in range(1, n + 1):
                 a = glauber_flip_probability(cfg, site, p)
-                b = glauber_flip_probability_from_components(cfg, site, p)
+                b = oracle.glauber_flip_probability_from_components(cfg, site, p)
                 assert abs(a - b) <= 1e-15
 
     @pytest.mark.parametrize("j", [0.0, 0.65, 2.5])
@@ -296,7 +290,7 @@ class TestGlauberKernel:
         for bits in range(1 << n):
             cfg = Configuration(bits, n)
             for b in range(n):
-                expected = glauber_flip_probability_from_components(cfg, b + 1, p) / n
+                expected = oracle.glauber_flip_probability_from_components(cfg, b + 1, p) / n
                 assert abs(matrix[bits, bits ^ (1 << b)] - expected) <= 1e-15
 
     def test_critical_rejected(self):
@@ -305,7 +299,7 @@ class TestGlauberKernel:
         with pytest.raises(CriticalCouplingError):
             build_glauber_kernel(ModelParams(4, INFINITE))
 
-    @pytest.mark.parametrize("form", [glauber_flip_probability, glauber_flip_probability_from_components])
+    @pytest.mark.parametrize("form", [glauber_flip_probability, oracle.glauber_flip_probability_from_components])
     def test_flip_probability_rejects_bad_site_or_size(self, form):
         p = ModelParams(4, 0.5)
         for cfg in (Configuration.all_plus(4), Configuration.from_spins([1, -1, -1, 1])):
@@ -348,11 +342,11 @@ class TestSpectralDecomposition:
         p = ModelParams(n, 0.0)
         mu = gibbs_measure(p)
         dec = symmetrize_and_decompose(build_wolff_kernel(p), mu)
-        np.testing.assert_allclose(dec.eigenvalues, hypercube_walk_spectrum(n), atol=1e-10)
-        assert spectral_gap(dec) == pytest.approx(2.0 / n, abs=1e-10)
+        np.testing.assert_allclose(dec.eigenvalues, oracle.hypercube_walk_spectrum(n), atol=1e-10)
+        assert dec.gap == pytest.approx(2.0 / n, abs=1e-10)
         lazy = symmetrize_and_decompose(build_glauber_kernel(p), mu)
-        np.testing.assert_allclose(lazy.eigenvalues, hypercube_walk_spectrum(n, lazy=True), atol=1e-10)
-        assert spectral_gap(lazy) == pytest.approx(1.0 / n, abs=1e-10)
+        np.testing.assert_allclose(lazy.eigenvalues, oracle.hypercube_walk_spectrum(n, lazy=True), atol=1e-10)
+        assert lazy.gap == pytest.approx(1.0 / n, abs=1e-10)
 
     @pytest.mark.parametrize("j", [0.0, 0.5, 1.0])
     def test_basis_properties(self, j):
@@ -374,7 +368,7 @@ class TestSpectralDecomposition:
         p = ModelParams(8, 1.0)
         mu = gibbs_measure(p)
         dec = symmetrize_and_decompose(build_wolff_kernel(p), mu)
-        assert 1.0 / spectral_gap(dec) <= poincare_constant_bound(1.0, 8)
+        assert 1.0 / dec.gap <= poincare_constant_bound(1.0, 8)
 
     def test_non_reversible_rejected(self):
         p = ModelParams(4, 0.5)
@@ -420,35 +414,40 @@ class TestEmpirical:
         assert np.array_equal(fast, ref)
 
     @pytest.mark.parametrize("method", ["bulk", "stack"])
-    def test_wolff_sampler_vs_kernel(self, method):
+    def test_wolff_sampler_vs_kernel(self, method, monkeypatch):
+        # the stack case counts one-step targets with the reference stack sampler
+        if method == "stack":
+            monkeypatch.setattr("isingring.kernel._one_step_counts_bulk", oracle.one_step_counts_stack)
         params = ModelParams(5, 0.5)
         kernel = build_wolff_kernel(params)
         trials = 100000 if method == "bulk" else 20000
-        check = empirical_vs_exact(kernel, params, trials, RngStream(11), method=method)
+        check = empirical_vs_exact(kernel, params, trials, RngStream(11))
         assert check.off_support == 0
         assert check.max_z <= 4.0
 
     @pytest.mark.parametrize("method", ["bulk", "stack"])
-    def test_samplers_handle_the_doubled_bond_ring(self, method):
+    def test_samplers_handle_the_doubled_bond_ring(self, method, monkeypatch):
         # n=2 has two distinct bonds between the same sites; both get tested
+        if method == "stack":
+            monkeypatch.setattr("isingring.kernel._one_step_counts_bulk", oracle.one_step_counts_stack)
         params = ModelParams(2, 0.6)
         kernel = build_wolff_kernel(params)
         trials = 200000 if method == "bulk" else 40000
-        check = empirical_vs_exact(kernel, params, trials, RngStream(12), method=method)
+        check = empirical_vs_exact(kernel, params, trials, RngStream(12))
         assert check.off_support == 0
         assert check.max_z <= 4.0
 
     def test_glauber_sampler_vs_kernel(self):
         params = ModelParams(5, 0.5)
         kernel = build_glauber_kernel(params)
-        check = empirical_vs_exact(kernel, params, 100000, RngStream(13), method="bulk")
+        check = empirical_vs_exact(kernel, params, 100000, RngStream(13))
         assert check.off_support == 0
         assert check.max_z <= 4.0
 
     def test_zero_coupling_single_flip_frequencies(self):
         params = ModelParams(5, 0.0)
         kernel = build_wolff_kernel(params)
-        check = empirical_vs_exact(kernel, params, 100000, RngStream(17), method="bulk", states=[0, 9])
+        check = empirical_vs_exact(kernel, params, 100000, RngStream(17))
         assert check.off_support == 0
         assert check.max_z <= 4.0
 
@@ -459,7 +458,7 @@ class TestEmpirical:
 
         wrong = build_wolff_kernel(ModelParams(4, 1.5))
         doctored = TransitionKernel(params=params, kind="wolff", matrix=wrong.matrix)
-        check = empirical_vs_exact(doctored, params, 100000, RngStream(19), method="bulk")
+        check = empirical_vs_exact(doctored, params, 100000, RngStream(19))
         assert check.max_z > 4.0 or check.off_support > 0
 
     @pytest.mark.parametrize("kind", ["wolff", "glauber"])
@@ -473,7 +472,7 @@ class TestEmpirical:
         params = ModelParams(5, j)
         build = build_wolff_kernel if kind == "wolff" else build_glauber_kernel
         kernel = build(params)
-        check = empirical_vs_exact(kernel, params, 10**6, RngStream(23, int(j * 100)), method="bulk")
+        check = empirical_vs_exact(kernel, params, 10**6, RngStream(23, int(j * 100)))
         threshold = max(3.0, NormalDist().inv_cdf(1.0 - 0.01 / (2 * check.tests)))
         assert check.off_support == 0
         assert check.max_z <= threshold
@@ -487,46 +486,26 @@ class TestEmpirical:
 
 
 class TestExports:
-    def test_binary_round_trip(self, tmp_path):
-        p = ModelParams(4, 0.75)
-        kernel = build_wolff_kernel(p)
-        path = tmp_path / "kernel.bin"
-        export_kernel_binary(kernel, path)
-        n, j_hat, matrix = read_matrix_dump(path)
-        assert n == 4 and j_hat == 0.75
-        np.testing.assert_array_equal(matrix, kernel.matrix)
-
     def test_covariance_round_trip(self, tmp_path):
-        # a covariance dump has side n, a kernel dump side 2^n
         path = tmp_path / "cov.bin"
         matrix = np.arange(25.0).reshape(5, 5)
         write_matrix_dump(path, 5, float("inf"), matrix)
-        n, j_hat, back = read_matrix_dump(path)
+        n, j_hat, back = oracle.read_matrix_dump(path)
         assert n == 5 and j_hat == float("inf")
         np.testing.assert_array_equal(back, matrix)
 
     def test_malformed_dumps_are_named(self, tmp_path):
-        path = tmp_path / "kernel.bin"
-        export_kernel_binary(build_wolff_kernel(ModelParams(3, 0.5)), path)
+        path = tmp_path / "cov.bin"
+        write_matrix_dump(path, 3, 0.5, np.arange(9.0).reshape(3, 3))
         data = path.read_bytes()
         for cut, message in [(8, "not a square matrix"), (3, "whole number of float64"), (len(data) - 10, "truncated dump header")]:
             path.write_bytes(data[:-cut])
             with pytest.raises(ValueError, match=message):
-                read_matrix_dump(path)
+                oracle.read_matrix_dump(path)
         write_matrix_dump(path, 5, 0.5, np.eye(4))
-        with pytest.raises(ValueError, match="neither n=5 nor 2\\^n"):
-            read_matrix_dump(path)
-
-    def test_csv_layout(self, tmp_path):
-        p = ModelParams(3, 0.5)
-        kernel = build_wolff_kernel(p)
-        path = tmp_path / "kernel.csv"
-        export_kernel_csv(kernel, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "state_index,state_bits,target_index,probability"
-        total = np.zeros(8)
-        for line in lines[1:]:
-            s, bits, t, prob = line.split(",")
-            assert len(bits) == 3
-            total[int(s)] += float(prob)
-        np.testing.assert_allclose(total, 1.0, atol=1e-12)
+        with pytest.raises(ValueError, match="side 4 is not n=5"):
+            oracle.read_matrix_dump(path)
+        # a dump has side n: a 2^n-side matrix is no dump of this format
+        write_matrix_dump(path, 3, 0.5, np.eye(8))
+        with pytest.raises(ValueError, match="side 8 is not n=3"):
+            oracle.read_matrix_dump(path)

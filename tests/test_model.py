@@ -14,7 +14,6 @@ from isingring import (
     gibbs_probability,
     hamiltonian,
     partition_function,
-    partition_function_brute,
     susceptibility_closed_form_bound,
     susceptibility_row_sum,
     two_point_correlation,
@@ -88,18 +87,18 @@ class TestPartitionFunction:
         # the N=2 ring counts the (1,2) and (2,1) bonds separately
         expected = (math.e + 1 / math.e) ** 2 + (math.e - 1 / math.e) ** 2
         assert partition_function(ModelParams(2, 1.0)) == pytest.approx(expected, rel=1e-13)
-        assert partition_function_brute(ModelParams(2, 1.0)) == pytest.approx(expected, rel=1e-13)
+        assert oracle.partition_function_brute(ModelParams(2, 1.0)) == pytest.approx(expected, rel=1e-13)
 
     def test_frozen_enumeration_value(self):
         # brute-force sum over all 256 states at N=8, J=0.5
-        assert partition_function_brute(ModelParams(8, 0.5)) == pytest.approx(670.5988487454317, rel=1e-13)
+        assert oracle.partition_function_brute(ModelParams(8, 0.5)) == pytest.approx(670.5988487454317, rel=1e-13)
 
     @pytest.mark.parametrize("j", J_GRID)
     @pytest.mark.parametrize("n", range(2, 13))
     def test_transfer_matrix_vs_brute(self, n, j):
         p = ModelParams(n, j)
         z_tm = partition_function(p)
-        z_brute = partition_function_brute(p)
+        z_brute = oracle.partition_function_brute(p)
         assert abs(z_tm - z_brute) / z_brute <= 1e-12
 
     def test_critical_rejected(self):
@@ -108,7 +107,7 @@ class TestPartitionFunction:
 
     def test_brute_size_cap(self):
         with pytest.raises(ResourceLimitError):
-            partition_function_brute(ModelParams(21, 0.5))
+            oracle.partition_function_brute(ModelParams(21, 0.5))
 
 
 class TestGibbs:

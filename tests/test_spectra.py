@@ -14,9 +14,6 @@ from isingring import (
     InitialLaw,
     ModelParams,
     RngStream,
-    build_ensemble,
-    correlation_matrix,
-    covariance_matrix,
     decompose,
     eigenvalues_symmetric,
     evaluate_cell,
@@ -38,24 +35,24 @@ class TestEnsemble:
     def test_single_column(self):
         params = ModelParams(9, 0.5)
         traj = run_chain(InitialLaw.all_plus(), 1, WOLFF, params, RngStream(1))
-        ens = build_ensemble(traj)
+        ens = oracle.build_ensemble(traj)
         assert ens.x.shape == (9, 1)
         assert np.linalg.norm(ens.x[:, 0]) == pytest.approx(1.0, rel=1e-14)
 
     def test_correlation_matrix_normalization(self):
         params = ModelParams(6, 0.4)
         traj = run_chain(InitialLaw.uniform_random(), 40, WOLFF, params, RngStream(2))
-        ens = build_ensemble(traj)
-        corr = correlation_matrix(ens)
+        ens = oracle.build_ensemble(traj)
+        corr = oracle.correlation_matrix(ens)
         assert np.trace(corr) == pytest.approx(1.0, rel=1e-13)
         np.testing.assert_allclose(np.diag(corr), 1.0 / 40, atol=1e-15)
 
     def test_covariance_and_correlation_share_spectrum(self):
         params = ModelParams(6, 0.4)
         traj = run_chain(InitialLaw.uniform_random(), 12, WOLFF, params, RngStream(3))
-        ens = build_ensemble(traj)
-        ev_k = eigenvalues_symmetric(covariance_matrix(ens))
-        ev_c = eigenvalues_symmetric(correlation_matrix(ens))
+        ens = oracle.build_ensemble(traj)
+        ev_k = eigenvalues_symmetric(oracle.covariance_matrix(ens))
+        ev_c = eigenvalues_symmetric(oracle.correlation_matrix(ens))
         nonzero_k = ev_k[ev_k > 1e-12]
         nonzero_c = ev_c[ev_c > 1e-12]
         np.testing.assert_allclose(nonzero_k, nonzero_c[: len(nonzero_k)], atol=1e-10)
@@ -149,17 +146,18 @@ class TestEigenAndNorm:
         np.testing.assert_allclose(eigenvalues_symmetric(k, 2), [0.5, 0.3])
 
     def test_spectrum_report_invariants(self):
-        from isingring import spectrum_report
-
+        # for a PSD matrix the spectral radius is the top eigenvalue, at most
+        # the Gershgorin norm, and the eigenvalues sum to the trace
         gen = np.random.default_rng(9)
         for _ in range(10):
             a = gen.standard_normal((6, 60))
             k = a @ a.T / 60
-            rep = spectrum_report(k)
-            assert rep.spectral_radius == pytest.approx(rep.lambda1, rel=1e-12)
-            assert rep.spectral_radius <= rep.gershgorin + 1e-12
-            assert rep.eigenvalues.sum() == pytest.approx(np.trace(k), rel=1e-12)
-            assert (np.diff(rep.eigenvalues) <= 1e-12).all()
+            eigenvalues = eigenvalues_symmetric(k)
+            spectral_radius = float(np.abs(eigenvalues).max())
+            assert spectral_radius == pytest.approx(float(eigenvalues[0]), rel=1e-12)
+            assert spectral_radius <= gershgorin_norm(k) + 1e-12
+            assert eigenvalues.sum() == pytest.approx(np.trace(k), rel=1e-12)
+            assert (np.diff(eigenvalues) <= 1e-12).all()
 
 
 class TestExactLimit:
@@ -218,13 +216,13 @@ class TestCovarianceRuns:
         assert np.trace(run.matrix) == pytest.approx(1.0, abs=1e-12)
 
     def test_critical_run_hits_and_condenses(self):
+        # the run's uniform start is the first draw of its generator
         params = ModelParams(8, INFINITE)
-        gen = RngStream(11).generator()
-        initial = Configuration(int(gen.integers(0, 256)), 8)
-        run = run_covariance_chain(params, 800, WOLFF, RngStream(12), initial=initial)
+        initial = Configuration(int(RngStream(12).generator().integers(0, 256)), 8)
+        run = run_covariance_chain(params, 800, WOLFF, RngStream(12))
         ctilde = decompose(initial).plus_count
-        if not initial.is_aligned:
-            assert run.hit_index in (ctilde, ctilde + 1)
+        assert run.initial_plus_components == ctilde
+        assert run.hit_index == (1 if initial.is_aligned else ctilde + 1)
         values = eigenvalues_symmetric(run.matrix, 2)
         assert values[0] >= 1.0 - 8 / 800 - 1e-12
         assert values[1] <= 8 / 800 + 1e-12
@@ -246,7 +244,7 @@ class TestCovarianceRuns:
         assert m > ACCUMULATE_BLOCK and 16 <= INVERSE_CDF_SITE_LIMIT < 24
         run = run_covariance_chain(params, m, kind, RngStream(15, n))
         traj = run_chain(InitialLaw.stationary(), m, kind, params, RngStream(15, n))
-        np.testing.assert_allclose(run.matrix, covariance_matrix(build_ensemble(traj)), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(run.matrix, oracle.covariance_matrix(oracle.build_ensemble(traj)), rtol=0, atol=1e-13)
 
     def test_simulated_covariance_matches_exact_limit_entrywise(self):
         params = ModelParams(8, 0.5)
