@@ -40,7 +40,8 @@ from .model import (
     gibbs_measure,
     two_point_correlation,
 )
-from .clusters import decompose
+from .clusters import decompose  # unused here; bench/tracer.py rebinds this name on cli
+from .clusters import plus_component_count
 from .dynamics import (
     GLAUBER,
     INVERSE_CDF_SITE_LIMIT,
@@ -534,7 +535,7 @@ def _cmd_hitting(config: RunConfig) -> int:
     gen = rng.generator()
     for k in range(config.count):
         initial = Configuration(int(gen.integers(0, 1 << n)), n)
-        ctilde = decompose(initial).plus_count
+        ctilde = plus_component_count(initial.bits, n)
         hit = hitting_time_aligned(initial, RngStream(config.seed, k + 1))
         # each step merges one component pair: ctilde plus components align after ctilde steps
         good = hit == (1 if initial.is_aligned else ctilde + 1)

@@ -142,3 +142,14 @@ def decompose(config: Configuration) -> ClusterDecomposition:
     plus = tuple(c for c in comps if bits & c)
     minus = tuple(c for c in comps if not bits & c)
     return ClusterDecomposition(n, plus, minus, full ^ cut, cut)
+
+
+def plus_component_count(bits: int, n: int) -> int:
+    """``decompose(Configuration(bits, n)).plus_count`` from the frustrated bonds alone.
+
+    Components alternate in sign around the ring, so f > 0 frustrated bonds
+    cut it into f components, f/2 of them plus; an aligned ring is one plus
+    component if it is all-plus and none if it is all-minus.
+    """
+    frustrated = (bits ^ _rotated_bits(bits, n)).bit_count()
+    return frustrated >> 1 if frustrated else int(bits != 0)

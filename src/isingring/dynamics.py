@@ -14,10 +14,13 @@ as the reference oracle:
   consumption per step: one integer plus two uniforms, drawn in blocks of
   seeds, then right uniforms, then left uniforms (``_arc_draws``). Chains
   (``_chain_bits``) draw one block of up to ``CHAIN_DRAW_BLOCK`` steps at a
-  time and step it in one tight loop; ``hitting_time_aligned`` draws one
-  block and steps it lazily, stopping at the first aligned state.
-  ``wolff_step_many`` and the kernel's bulk one-step sampler draw one block
-  per call and use the twin.
+  time and step it in one tight loop, which carries the aligned-bond mask
+  doubled next to the state, so the runs around a seed are one shift away
+  and a flip toggles the arc's two end bonds. ``hitting_time_aligned`` draws
+  one block of n + 1 steps, steps the c merges the plus-component count c
+  predicts in one call, and the rest only if none of those states is
+  aligned. ``wolff_step_many`` and the kernel's bulk one-step sampler draw
+  one block per call and use the twin.
 
 * ``wolff_step`` is the reference stack algorithm: grow the cluster from a
   uniformly chosen seed, testing each ring bond at most once (visited-bond
@@ -33,8 +36,10 @@ kernel rows; the stack sampler's one-step counts, checked the same way, are
 an oracle in the test suite (``tests/_oracles.py``).
 
 Glauber paths read one heat-bath table, ``_glauber_flip_probs``; chains draw
-sites, then uniforms, in the Wolff blocks and step each block in one tight
-loop (``_glauber_block``), and ``glauber_step`` is the reference.
+sites, then uniforms, in the Wolff blocks, turn each block's uniforms into
+flip thresholds in numpy (``_glauber_keys``) and step the block in one tight
+loop on the frustrated-bond mask (``_glauber_block``); ``glauber_step`` is
+the per-step reference.
 
 ``iter_chain`` streams a chain of either dynamics as bit-packed ints, with no
 ``Configuration`` per state.
@@ -42,6 +47,7 @@ loop (``_glauber_block``), and ``glauber_step`` is the reference.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,11 +55,13 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .clusters import plus_component_count
 from .model import (
     INFINITE,
     Configuration,
     ModelParams,
     ResourceLimitError,
+    _rotated_bits,
     derived_constants,
     gibbs_measure,
 )
@@ -118,7 +126,8 @@ def glauber_step(config: Configuration, params: ModelParams, rng) -> Configurati
         raise ValueError("configuration and params sizes differ")
     gen = as_generator(rng)
     site = int(gen.integers(params.n))
-    return Configuration(_glauber_block(config.bits, (site,), (gen.random(),), params.n, flip_probs)[0], params.n)
+    keys = _glauber_keys(np.array([gen.random()]), flip_probs)
+    return Configuration(_glauber_block(config.bits, (site,), keys, params.n)[0], params.n)
 
 
 def _glauber_flip_probs(j_hat: float) -> np.ndarray:
@@ -133,23 +142,81 @@ def _glauber_flip_probs(j_hat: float) -> np.ndarray:
     return np.array([e2 / (e2 + em2), 0.5, em2 / (e2 + em2)])
 
 
-def _glauber_block(bits: int, sites, us, n: int, flip_probs) -> list:
-    """Heat-bath updates of 0-based ``sites`` with uniforms ``us``, in turn, from ``bits``.
+#: Row t, column the two frustrated-bond bits of a site (its left bond, then
+#: its right): the site flips iff fewer than t of its two bonds are aligned.
+_GLAUBER_FLIPS = (
+    False, False, False, False,
+    False, False, False, True,
+    False, True, True, True,
+    True, True, True, True,
+)
 
-    Returns the state after each update. Any n; ``flip_probs`` as from
-    ``_glauber_flip_probs``.
+
+def _glauber_keys(us: np.ndarray, flip_probs: np.ndarray) -> list:
+    """Row offsets 4t into ``_GLAUBER_FLIPS``, t = (u < p0) + (u < p1) + (u < p2) per uniform u.
+
+    For j >= 0 the flip probability does not increase with the aligned count
+    a, so u < flip_probs[a] iff a < t: the same float64 comparisons as the
+    heat-bath rule, made once per block in numpy.
     """
-    top = n - 1
+    t = (us < flip_probs[0]).astype(np.int64) + (us < flip_probs[1]) + (us < flip_probs[2])
+    return (t << 2).tolist()
+
+
+def _glauber_block(bits: int, sites, keys, n: int) -> list:
+    """Heat-bath updates of 0-based ``sites`` with ``_glauber_keys`` ``keys``, in turn, from ``bits``.
+
+    Returns the state after each update, for any n. The loop carries the
+    frustrated-bond mask with bond n-1 repeated below bond 0 (bit k holds
+    bond k-1 mod n, k = 0..n), so site i's left and right bonds are bits i
+    and i+1 and a flip toggles both, and the repeat, by one table lookup.
+    """
+    bonds = bits ^ _rotated_bits(bits, n)
+    bonds = (bonds << 1) | (bonds >> (n - 1))
+    toggles = _site_toggles(n)
+    flips = _GLAUBER_FLIPS
     out = []
     append = out.append
-    for site, u in zip(sites, us):
-        s = (bits >> site) & 1
-        left = (bits >> (site - 1 if site else top)) & 1
-        right = (bits >> (site + 1 if site < top else 0)) & 1
-        if u < flip_probs[(left == s) + (right == s)]:
+    for site, key in zip(sites, keys):
+        if flips[key | ((bonds >> site) & 3)]:
             bits ^= 1 << site
+            bonds ^= toggles[site]
         append(bits)
     return out
+
+
+#: Rings up to this size keep their toggle masks in a table; past it a
+#: table would hold O(n^2) bits, so each mask is computed when looked up.
+TOGGLE_TABLE_SITE_LIMIT = 256
+
+
+class _ComputedTable:
+    """Indexes like a table whose entries ``entry(i)`` computes on each lookup."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __getitem__(self, i):
+        return self.entry(i)
+
+
+@functools.lru_cache(maxsize=16)
+def _site_toggles(n: int):
+    """Per site i, the bits of ``_glauber_block``'s bond mask that flipping site i toggles."""
+    def toggle(i):
+        return (3 << i) | ((i == 0) << n) | (i == n - 1)
+    return tuple(map(toggle, range(n))) if n <= TOGGLE_TABLE_SITE_LIMIT else _ComputedTable(toggle)
+
+
+@functools.lru_cache(maxsize=16)
+def _bond_toggles(n: int):
+    """Per bond b in -1..2n-1, the two bits of bond b mod n in a doubled (2n-bit) bond mask."""
+    def toggle(b):
+        b %= n
+        return (1 << b) | (1 << (b + n))
+    return tuple(map(toggle, range(2 * n))) if n <= TOGGLE_TABLE_SITE_LIMIT else _ComputedTable(toggle)
 
 
 def _truncated_geometric(u: np.ndarray, bond_prob: float, n: int) -> np.ndarray:
@@ -175,18 +242,23 @@ def _wolff_arc_block(bits: int, seeds, g_rights, g_lefts, n: int) -> list:
     """The Wolff arc law, one step per draw in turn from ``bits``, for any n.
 
     Returns the state after each step. Bond b joins sites b and b+1 (mod n).
-    With the aligned-bond mask rotated so bond ``seed`` sits at bit 0, the
+    The loop carries the aligned-bond mask doubled (2n bits), so shifting it
+    right by ``seed`` puts bond ``seed`` at bit 0 of an n-bit rotation: the
     right run is its trailing ones and the left run (bond seed-1 at bit n-1)
     its leading ones. The flipped arc extends min(g_right, run_r, n-1) sites
-    right of the seed and min(g_left, run_l, n-1-ext_r) sites left of it.
+    right of the seed and min(g_left, run_l, n-1-ext_r) sites left of it, and
+    toggles exactly its two end bonds, start-1 and seed+ext_r; for the full
+    ring these are one bond and the toggles cancel.
     """
     full = (1 << n) - 1
     top = n - 1
+    aligned = bits ^ _rotated_bits(bits, n) ^ full
+    aligned |= aligned << n
+    toggles = _bond_toggles(n)
     out = []
     append = out.append
     for seed, g_right, g_left in zip(seeds, g_rights, g_lefts):
-        aligned = bits ^ ((bits >> 1) | ((bits & 1) << top)) ^ full
-        rotated = ((aligned >> seed) | (aligned << (n - seed))) & full
+        rotated = (aligned >> seed) & full
         ext_r = (rotated ^ (rotated + 1)).bit_length() - 1  # run_r
         if g_right < ext_r:
             ext_r = g_right
@@ -202,6 +274,7 @@ def _wolff_arc_block(bits: int, seeds, g_rights, g_lefts, n: int) -> list:
             start += n
         arc = (1 << (ext_l + ext_r + 1)) - 1
         bits ^= ((arc << start) | (arc >> (n - start))) & full
+        aligned ^= toggles[start - 1] ^ toggles[seed + ext_r]
         append(bits)
     return out
 
@@ -383,7 +456,7 @@ def _chain_bits(bits: int, states: int, kind: str, params: ModelParams, gen: np.
         raise ValueError(f"unknown dynamics kind {kind!r}")
     n = params.n
     if kind == GLAUBER:
-        flip_probs = _glauber_flip_probs(params.require_finite("Glauber dynamics")).tolist()
+        flip_probs = _glauber_flip_probs(params.require_finite("Glauber dynamics"))
     else:
         bond_prob = derived_constants(params).bond_prob
 
@@ -393,7 +466,7 @@ def _chain_bits(bits: int, states: int, kind: str, params: ModelParams, gen: np.
             count = min(CHAIN_DRAW_BLOCK, states - 1 - done)
             if kind == GLAUBER:
                 sites = gen.integers(0, n, size=count).tolist()
-                block = _glauber_block(last, sites, gen.random(count).tolist(), n, flip_probs)
+                block = _glauber_block(last, sites, _glauber_keys(gen.random(count), flip_probs), n)
             else:
                 block = _wolff_arc_block(last, *(d.tolist() for d in _arc_draws(gen, count, n, bond_prob)), n)
             last = block[-1]
@@ -434,11 +507,12 @@ def hitting_time_aligned(initial: Configuration, rng) -> int:
 
     Y_1 = initial, so an aligned start returns 1. For a non-aligned start the
     chain merges exactly one component pair per step, so the value is the
-    initial plus-component count + 1 (deterministic even though the path is
+    initial plus-component count c + 1 (deterministic even though the path is
     random). The chain's n + 1 steps are drawn as one block, as ``_chain_bits``
-    draws a chain of n + 2 states, but stepped one at a time, so stepping
-    stops at the first aligned state (stepping the whole block through
-    ``_chain_bits`` made ``isingring hitting`` about a third slower).
+    draws a chain of n + 2 states. The first c draws are stepped in one
+    ``_wolff_arc_block`` call, and the rest of the block only if none of
+    those states is aligned, so the index returned is the one the chain
+    reaches, not the one predicted.
     """
     gen = as_generator(rng)
     n = initial.n
@@ -446,11 +520,12 @@ def hitting_time_aligned(initial: Configuration, rng) -> int:
     bits = initial.bits
     if bits == 0 or bits == full:
         return 1
-    draws = _arc_draws(gen, n + 1, n, derived_constants(ModelParams(n, INFINITE)).bond_prob)
-    for k, (seed, g_right, g_left) in enumerate(zip(*(d.tolist() for d in draws)), start=2):
-        bits = _wolff_arc_block(bits, (seed,), (g_right,), (g_left,), n)[0]
-        if bits == 0 or bits == full:
-            return k
+    draws = [d.tolist() for d in _arc_draws(gen, n + 1, n, derived_constants(ModelParams(n, INFINITE)).bond_prob)]
+    predicted = plus_component_count(bits, n)
+    for lo, hi in ((0, predicted), (predicted, n + 1)):
+        for k, bits in enumerate(_wolff_arc_block(bits, *(d[lo:hi] for d in draws), n), start=lo + 2):
+            if bits == 0 or bits == full:
+                return k
     # cannot happen: at most n/2 merges are needed
     raise RuntimeError("critical-point chain failed to align; sampler bug")
 

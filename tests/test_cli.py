@@ -438,6 +438,16 @@ GOLDEN_CHAIN_COMMANDS = [
      "2c235a013a37b7cb25ba6250c4c936bf50ea9df0f7f7a32fb6b515510b53a744"),
     (["hitting", "--n", "48", "--count", "200"], 7, 0,
      "5a7f8adb977e9a509100957eea9e0adf9fc749e1d579c72b30b7f76070e57bee"),
+    # tiny rings draw aligned starts, all-plus (ctilde 1) and all-minus (ctilde 0),
+    # which the n = 48 runs never do
+    (["hitting", "--n", "2", "--count", "12"], 0, 0,
+     "ac6313a448097c1ad63f2194102cd43ee510ed24e574d9d6dd760fb1ff10a33d"),
+    (["hitting", "--n", "2", "--count", "12"], 7, 0,
+     "ec8bd95cde93fc99e6212070d59bf58dc2fef51f40c04fff34c447888836d38d"),
+    (["hitting", "--n", "3", "--count", "40"], 0, 0,
+     "a4a1bda3b4fb75adb1fa611aadeec92e6eda0a899525de0f9a2cf64ba144c3f8"),
+    (["hitting", "--n", "3", "--count", "40"], 7, 0,
+     "35ad5e9f2e16d7dec984dca0be00c0eb14330bc053e57c517879e7011f14bbdd"),
 ]
 
 

@@ -9,6 +9,7 @@ from isingring import (
     is_connected,
     vertex_boundary,
 )
+from isingring.clusters import plus_component_count
 
 import _oracles as oracle
 
@@ -76,6 +77,20 @@ def test_decompose_invariants_every_state(n):
         d_neg = decompose(cfg.negated())
         assert d_neg.plus_components == d.minus_components
         assert d_neg.minus_components == d.plus_components
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_plus_component_count_every_state(n):
+    # f/2 for f > 0 frustrated bonds; the aligned rings are where f // 2 alone is wrong
+    for bits in range(1 << n):
+        assert plus_component_count(bits, n) == decompose(Configuration(bits, n)).plus_count
+
+
+def test_plus_component_count_random_states_at_63():
+    gen = np.random.default_rng(8)
+    states = [0, (1 << 63) - 1] + gen.integers(0, 1 << 63, size=10_000).tolist()
+    for bits in states:
+        assert plus_component_count(bits, 63) == decompose(Configuration(bits, 63)).plus_count
 
 
 def test_decompose_matches_union_find_oracle():

@@ -29,8 +29,10 @@ from isingring import (
     wolff_step,
     wolff_step_many,
 )
+from isingring import dynamics
 from isingring.dynamics import (
     CHAIN_DRAW_BLOCK,
+    TOGGLE_TABLE_SITE_LIMIT,
     _arc_draws,
     _chain_bits,
     _glauber_flip_probs,
@@ -219,6 +221,27 @@ class TestHitting:
         hits = {hitting_time_aligned(cfg, RngStream(18, s)) for s in range(50)}
         assert hits == {2}
 
+    @pytest.mark.parametrize("spins", [[1, -1, 1, -1, 1, -1], [1, 1, -1, 1, -1, -1, -1, 1]])
+    @pytest.mark.parametrize("shift", ["early", "late", "last draw"])
+    def test_returns_the_index_the_chain_reaches(self, monkeypatch, spins, shift):
+        # a stand-in block stepper whose chain first aligns after `steps` draws,
+        # whatever the draws: the index returned is measured, never ctilde + 1
+        cfg = Configuration.from_spins(spins)
+        ctilde = decompose(cfg).plus_count
+        steps = {"early": ctilde - 1, "late": ctilde + 1, "last draw": cfg.n + 1}[shift]
+        taken = []
+
+        def block(bits, seeds, g_rights, g_lefts, n):
+            out = []
+            for _ in seeds:
+                taken.append(None)
+                out.append(0 if len(taken) >= steps else bits)
+            return out
+
+        monkeypatch.setattr(dynamics, "_wolff_arc_block", block)
+        assert hitting_time_aligned(cfg, RngStream(20)) == steps + 1
+        assert len(taken) <= cfg.n + 1
+
     def test_post_hit_alternation(self):
         params = ModelParams(8, INFINITE)
         gen = RngStream(19).generator()
@@ -378,13 +401,15 @@ def test_chain_draw_blocks_are_cut_at_the_steps_remaining(kind):
 
 
 @pytest.mark.parametrize("length", [1, 2, CHAIN_DRAW_BLOCK, CHAIN_DRAW_BLOCK + 1, 2 * CHAIN_DRAW_BLOCK + 1])
-@pytest.mark.parametrize("n", [2, 3, 5, 16, 48, 64, 100])
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 48, 64, 100, 300])
 @pytest.mark.parametrize("kind, j", [(WOLFF, 0.0), (WOLFF, 0.5), (WOLFF, 1.5), (WOLFF, INFINITE),
-                                     (GLAUBER, 0.0), (GLAUBER, 0.5), (GLAUBER, 1.5)],
+                                     (GLAUBER, 0.0), (GLAUBER, 0.5), (GLAUBER, 1.5), (GLAUBER, 300.0)],
                          ids=lambda v: "inf" if v is INFINITE else str(v))
 def test_block_chains_match_the_per_step_chain(kind, j, n, length):
     # the block loops step exactly as one call per step did, draw for draw,
     # through _chain_bits and, where states fit a uint64, through run_chain
+    # (n = 300 is past TOGGLE_TABLE_SITE_LIMIT: its bond toggles are computed per lookup)
+    assert TOGGLE_TABLE_SITE_LIMIT < 300
     params = ModelParams(n, j)
     law = derived_constants(params).bond_prob if kind == WOLFF else _glauber_flip_probs(j).tolist()
     start = int.from_bytes(RngStream(33, n).generator().bytes(8 + n // 8), "little") & ((1 << n) - 1)

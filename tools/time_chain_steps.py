@@ -1,12 +1,16 @@
-"""Microseconds per chain step of ``run_chain``, for one source tree.
+"""Microseconds per chain step of ``run_chain`` and per start of ``hitting_time_aligned``, for one source tree.
 
     python3 tools/time_chain_steps.py [--src SRC]
 
 Imports ``isingring`` from ``SRC`` (default: this checkout's ``src``), so two
-trees can be timed on one host with one script. Each case runs a stored chain
-of ``STATES`` states from a fixed start ``REPEATS`` times; the time of a run
-divided by its steps is one sample. Prints one JSON object: per case, the
-samples and their median and quartiles, in microseconds per step.
+trees can be timed on one host with one script. Each chain case runs a stored
+chain of ``STATES`` states from a fixed start ``REPEATS`` times; the time of a
+run divided by its steps is one sample. The hitting case runs
+``hitting_time_aligned`` from the ``HITTING_STARTS`` starts that
+``isingring hitting --seed 0`` draws, start k on ``RngStream(0, k + 1)``, as
+that command does, ``REPEATS`` times; the time of a run divided by its starts
+is one sample. Prints one JSON object: per case, the samples and their median
+and quartiles, in microseconds per step or per start.
 """
 
 import argparse
@@ -16,7 +20,7 @@ import statistics
 import sys
 import time
 
-#: (name, kind, n, j_hat); "inf" is the critical point.
+#: (name, kind, n, j_hat); "inf" is the critical point, where "hitting" runs.
 CASES = [
     ("wolff-n16-j0.5", "wolff", 16, 0.5),
     ("wolff-n24-j0.5", "wolff", 24, 0.5),
@@ -24,10 +28,21 @@ CASES = [
     ("wolff-n48-j0.5", "wolff", 48, 0.5),
     ("wolff-n32-inf", "wolff", 32, "inf"),
     ("glauber-n32-j0.5", "glauber", 32, 0.5),
+    ("glauber-n32-j1.5", "glauber", 32, 1.5),
+    ("hitting-n48", "hitting", 48, "inf"),
 ]
 
 STATES = 100_000
+HITTING_STARTS = 2000
 REPEATS = 3
+
+
+def _run_hitting(starts, hitting_time_aligned, RngStream) -> float:
+    """Seconds for one pass of ``hitting_time_aligned`` over ``starts``."""
+    t0 = time.perf_counter()
+    for k, initial in enumerate(starts):
+        hitting_time_aligned(initial, RngStream(0, k + 1))
+    return time.perf_counter() - t0
 
 
 def main(argv=None) -> int:
@@ -35,18 +50,25 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    from isingring import INFINITE, Configuration, InitialLaw, ModelParams, RngStream, run_chain
+    from isingring import INFINITE, Configuration, InitialLaw, ModelParams, RngStream, hitting_time_aligned, run_chain
 
     out = {}
     for name, kind, n, j in CASES:
-        params = ModelParams(n, INFINITE if j == "inf" else j)
-        law = InitialLaw.fixed(Configuration(0b1011 << (n // 2), n))
-        run_chain(law, 10_000, kind, params, RngStream(1))  # warm up
         samples = []
-        for r in range(REPEATS):
-            t0 = time.perf_counter()
-            run_chain(law, STATES, kind, params, RngStream(2, r))
-            samples.append(1e6 * (time.perf_counter() - t0) / (STATES - 1))
+        if kind == "hitting":
+            gen = RngStream(0).generator()
+            starts = [Configuration(int(gen.integers(0, 1 << n)), n) for _ in range(HITTING_STARTS)]
+            _run_hitting(starts[:200], hitting_time_aligned, RngStream)  # warm up
+            for r in range(REPEATS):
+                samples.append(1e6 * _run_hitting(starts, hitting_time_aligned, RngStream) / HITTING_STARTS)
+        else:
+            params = ModelParams(n, INFINITE if j == "inf" else j)
+            law = InitialLaw.fixed(Configuration(0b1011 << (n // 2), n))
+            run_chain(law, 10_000, kind, params, RngStream(1))  # warm up
+            for r in range(REPEATS):
+                t0 = time.perf_counter()
+                run_chain(law, STATES, kind, params, RngStream(2, r))
+                samples.append(1e6 * (time.perf_counter() - t0) / (STATES - 1))
         q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
         out[name] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
                      "samples": [round(x, 4) for x in samples]}
