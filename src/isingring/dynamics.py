@@ -14,10 +14,8 @@ as the reference oracle:
   consumption per step: one integer plus two uniforms, drawn in blocks of
   seeds, then right uniforms, then left uniforms (``_arc_draws``). Chains
   (``_chain_bits``) draw one block of up to ``CHAIN_DRAW_BLOCK`` steps at a
-  time and step it in one tight loop, which carries the aligned-bond mask
-  doubled next to the state, so the runs around a seed are one shift away
-  and a flip toggles the arc's two end bonds. ``hitting_time_aligned`` draws
-  one block of n + 1 steps, steps the c merges the plus-component count c
+  time and step it in one tight loop; ``hitting_time_aligned`` draws one
+  block of n + 1 steps, steps the c merges the plus-component count c
   predicts in one call, and the rest only if none of those states is
   aligned. ``wolff_step_many`` and the kernel's bulk one-step sampler draw
   one block per call and use the twin.
@@ -47,7 +45,6 @@ the per-step reference.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -169,54 +166,26 @@ def _glauber_block(bits: int, sites, keys, n: int) -> list:
     Returns the state after each update, for any n. The loop carries the
     frustrated-bond mask with bond n-1 repeated below bond 0 (bit k holds
     bond k-1 mod n, k = 0..n), so site i's left and right bonds are bits i
-    and i+1 and a flip toggles both, and the repeat, by one table lookup.
+    and i+1 and a flip toggles both with one shift; flipping site 0 or n-1
+    also toggles the other copy of bond n-1.
     """
+    top = n - 1
+    high = 1 << n
     bonds = bits ^ _rotated_bits(bits, n)
-    bonds = (bonds << 1) | (bonds >> (n - 1))
-    toggles = _site_toggles(n)
+    bonds = (bonds << 1) | (bonds >> top)
     flips = _GLAUBER_FLIPS
     out = []
     append = out.append
     for site, key in zip(sites, keys):
         if flips[key | ((bonds >> site) & 3)]:
             bits ^= 1 << site
-            bonds ^= toggles[site]
+            bonds ^= 3 << site
+            if site == 0:
+                bonds ^= high
+            elif site == top:
+                bonds ^= 1
         append(bits)
     return out
-
-
-#: Rings up to this size keep their toggle masks in a table; past it a
-#: table would hold O(n^2) bits, so each mask is computed when looked up.
-TOGGLE_TABLE_SITE_LIMIT = 256
-
-
-class _ComputedTable:
-    """Indexes like a table whose entries ``entry(i)`` computes on each lookup."""
-
-    __slots__ = ("entry",)
-
-    def __init__(self, entry):
-        self.entry = entry
-
-    def __getitem__(self, i):
-        return self.entry(i)
-
-
-@functools.lru_cache(maxsize=16)
-def _site_toggles(n: int):
-    """Per site i, the bits of ``_glauber_block``'s bond mask that flipping site i toggles."""
-    def toggle(i):
-        return (3 << i) | ((i == 0) << n) | (i == n - 1)
-    return tuple(map(toggle, range(n))) if n <= TOGGLE_TABLE_SITE_LIMIT else _ComputedTable(toggle)
-
-
-@functools.lru_cache(maxsize=16)
-def _bond_toggles(n: int):
-    """Per bond b in -1..2n-1, the two bits of bond b mod n in a doubled (2n-bit) bond mask."""
-    def toggle(b):
-        b %= n
-        return (1 << b) | (1 << (b + n))
-    return tuple(map(toggle, range(2 * n))) if n <= TOGGLE_TABLE_SITE_LIMIT else _ComputedTable(toggle)
 
 
 def _truncated_geometric(u: np.ndarray, bond_prob: float, n: int) -> np.ndarray:
@@ -242,23 +211,18 @@ def _wolff_arc_block(bits: int, seeds, g_rights, g_lefts, n: int) -> list:
     """The Wolff arc law, one step per draw in turn from ``bits``, for any n.
 
     Returns the state after each step. Bond b joins sites b and b+1 (mod n).
-    The loop carries the aligned-bond mask doubled (2n bits), so shifting it
-    right by ``seed`` puts bond ``seed`` at bit 0 of an n-bit rotation: the
+    With the aligned-bond mask rotated so bond ``seed`` sits at bit 0, the
     right run is its trailing ones and the left run (bond seed-1 at bit n-1)
     its leading ones. The flipped arc extends min(g_right, run_r, n-1) sites
-    right of the seed and min(g_left, run_l, n-1-ext_r) sites left of it, and
-    toggles exactly its two end bonds, start-1 and seed+ext_r; for the full
-    ring these are one bond and the toggles cancel.
+    right of the seed and min(g_left, run_l, n-1-ext_r) sites left of it.
     """
     full = (1 << n) - 1
     top = n - 1
-    aligned = bits ^ _rotated_bits(bits, n) ^ full
-    aligned |= aligned << n
-    toggles = _bond_toggles(n)
     out = []
     append = out.append
     for seed, g_right, g_left in zip(seeds, g_rights, g_lefts):
-        rotated = (aligned >> seed) & full
+        aligned = bits ^ ((bits >> 1) | ((bits & 1) << top)) ^ full
+        rotated = ((aligned >> seed) | (aligned << (n - seed))) & full
         ext_r = (rotated ^ (rotated + 1)).bit_length() - 1  # run_r
         if g_right < ext_r:
             ext_r = g_right
@@ -274,7 +238,6 @@ def _wolff_arc_block(bits: int, seeds, g_rights, g_lefts, n: int) -> list:
             start += n
         arc = (1 << (ext_l + ext_r + 1)) - 1
         bits ^= ((arc << start) | (arc >> (n - start))) & full
-        aligned ^= toggles[start - 1] ^ toggles[seed + ext_r]
         append(bits)
     return out
 

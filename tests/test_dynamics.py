@@ -32,7 +32,6 @@ from isingring import (
 from isingring import dynamics
 from isingring.dynamics import (
     CHAIN_DRAW_BLOCK,
-    TOGGLE_TABLE_SITE_LIMIT,
     _arc_draws,
     _chain_bits,
     _glauber_flip_probs,
@@ -408,8 +407,6 @@ def test_chain_draw_blocks_are_cut_at_the_steps_remaining(kind):
 def test_block_chains_match_the_per_step_chain(kind, j, n, length):
     # the block loops step exactly as one call per step did, draw for draw,
     # through _chain_bits and, where states fit a uint64, through run_chain
-    # (n = 300 is past TOGGLE_TABLE_SITE_LIMIT: its bond toggles are computed per lookup)
-    assert TOGGLE_TABLE_SITE_LIMIT < 300
     params = ModelParams(n, j)
     law = derived_constants(params).bond_prob if kind == WOLFF else _glauber_flip_probs(j).tolist()
     start = int.from_bytes(RngStream(33, n).generator().bytes(8 + n // 8), "little") & ((1 << n) - 1)

@@ -3,9 +3,11 @@
     python3 tools/time_chain_steps.py [--src SRC]
 
 Imports ``isingring`` from ``SRC`` (default: this checkout's ``src``), so two
-trees can be timed on one host with one script. Each chain case runs a stored
-chain of ``STATES`` states from a fixed start ``REPEATS`` times; the time of a
-run divided by its steps is one sample. The hitting case runs
+trees can be timed on one host with one script. Each chain case streams a
+chain of the case's number of states through ``iter_chain`` from a fixed start
+``REPEATS`` times; the time of a run divided by its steps is one sample. The
+rings past 64 sites check that the block loops, whose masks grow with n, do
+not lose to the parent there. The hitting case runs
 ``hitting_time_aligned`` from the ``HITTING_STARTS`` starts that
 ``isingring hitting --seed 0`` draws, start k on ``RngStream(0, k + 1)``, as
 that command does, ``REPEATS`` times; the time of a run divided by its starts
@@ -14,25 +16,31 @@ and quartiles, in microseconds per step or per start.
 """
 
 import argparse
+import collections
 import json
 import os
 import statistics
 import sys
 import time
 
-#: (name, kind, n, j_hat); "inf" is the critical point, where "hitting" runs.
+#: (name, kind, n, j_hat, states); "inf" is the critical point, where "hitting" runs.
 CASES = [
-    ("wolff-n16-j0.5", "wolff", 16, 0.5),
-    ("wolff-n24-j0.5", "wolff", 24, 0.5),
-    ("wolff-n32-j0.5", "wolff", 32, 0.5),
-    ("wolff-n48-j0.5", "wolff", 48, 0.5),
-    ("wolff-n32-inf", "wolff", 32, "inf"),
-    ("glauber-n32-j0.5", "glauber", 32, 0.5),
-    ("glauber-n32-j1.5", "glauber", 32, 1.5),
-    ("hitting-n48", "hitting", 48, "inf"),
+    ("wolff-n16-j0.5", "wolff", 16, 0.5, 100_000),
+    ("wolff-n24-j0.5", "wolff", 24, 0.5, 100_000),
+    ("wolff-n32-j0.5", "wolff", 32, 0.5, 100_000),
+    ("wolff-n48-j0.5", "wolff", 48, 0.5, 100_000),
+    ("wolff-n32-inf", "wolff", 32, "inf", 100_000),
+    ("wolff-n300-j0.5", "wolff", 300, 0.5, 50_000),
+    ("wolff-n1000-j0.5", "wolff", 1000, 0.5, 50_000),
+    ("wolff-n20000-j0.5", "wolff", 20000, 0.5, 5_000),
+    ("glauber-n32-j0.5", "glauber", 32, 0.5, 100_000),
+    ("glauber-n32-j1.5", "glauber", 32, 1.5, 100_000),
+    ("glauber-n300-j0.5", "glauber", 300, 0.5, 50_000),
+    ("glauber-n1000-j0.5", "glauber", 1000, 0.5, 50_000),
+    ("glauber-n20000-j0.5", "glauber", 20000, 0.5, 5_000),
+    ("hitting-n48", "hitting", 48, "inf", None),
 ]
 
-STATES = 100_000
 HITTING_STARTS = 2000
 REPEATS = 3
 
@@ -50,10 +58,10 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    from isingring import INFINITE, Configuration, InitialLaw, ModelParams, RngStream, hitting_time_aligned, run_chain
+    from isingring import INFINITE, Configuration, InitialLaw, ModelParams, RngStream, hitting_time_aligned, iter_chain
 
     out = {}
-    for name, kind, n, j in CASES:
+    for name, kind, n, j, states in CASES:
         samples = []
         if kind == "hitting":
             gen = RngStream(0).generator()
@@ -64,11 +72,11 @@ def main(argv=None) -> int:
         else:
             params = ModelParams(n, INFINITE if j == "inf" else j)
             law = InitialLaw.fixed(Configuration(0b1011 << (n // 2), n))
-            run_chain(law, 10_000, kind, params, RngStream(1))  # warm up
+            collections.deque(iter_chain(law, states // 10, kind, params, RngStream(1)), maxlen=0)  # warm up
             for r in range(REPEATS):
                 t0 = time.perf_counter()
-                run_chain(law, STATES, kind, params, RngStream(2, r))
-                samples.append(1e6 * (time.perf_counter() - t0) / (STATES - 1))
+                collections.deque(iter_chain(law, states, kind, params, RngStream(2, r)), maxlen=0)
+                samples.append(1e6 * (time.perf_counter() - t0) / (states - 1))
         q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
         out[name] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
                      "samples": [round(x, 4) for x in samples]}
