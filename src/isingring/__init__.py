@@ -16,11 +16,7 @@ from .model import (
     ResourceLimitError,
     derived_constants,
     gibbs_measure,
-    gibbs_probability,
-    hamiltonian,
-    partition_function,
     susceptibility_closed_form_bound,
-    susceptibility_row_sum,
     two_point_correlation,
 )
 from .clusters import (
@@ -39,14 +35,12 @@ from .dynamics import (
     Trajectory,
     decode_states,
     encode_spins,
-    glauber_step,
     glauber_step_many,
     hitting_time_aligned,
     iter_chain,
     run_chain,
     sample_stationary,
     sample_stationary_many,
-    wolff_step,
     wolff_step_many,
 )
 from .kernel import (
@@ -68,7 +62,6 @@ from .functionals import (
     InequalityReport,
     certification_sweep,
     certify_lsi,
-    certify_poincare,
     character_function,
     dirichlet_form,
     entropy,
@@ -76,7 +69,6 @@ from .functionals import (
     indicator_function,
     lsi_constant_bound,
     poincare_constant_bound,
-    variance,
 )
 from .spectra import (
     CellResult,

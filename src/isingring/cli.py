@@ -97,7 +97,7 @@ def parse_j_hat(text: str):
         raise UsageError(f"invalid coupling {text!r}: use a nonnegative float or 'inf'")
     if not math.isfinite(value) or value < 0:
         raise UsageError(f"invalid coupling {text!r}: use a nonnegative float or 'inf'")
-    return value
+    return 0.0 if value == 0.0 else value  # "-0" is the coupling 0: same CSV, same config hash
 
 
 _SWITCH_VALUES = {"0": False, "1": True, "false": False, "true": True, "no": False, "yes": True}

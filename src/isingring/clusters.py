@@ -11,6 +11,8 @@ With rot(A) the site mask rotated so that bit b reads site b+2, the bond
 mask A ^ rot(A) holds the bonds with exactly one endpoint in A. Aligned and
 frustrated bonds, connected components of the +1 and -1 site sets, and
 edge/vertex boundaries of site subsets are all computed this way.
+``plus_component_count`` reads the plus-component count from the frustrated
+bonds alone, without building a ``ClusterDecomposition``.
 """
 
 from __future__ import annotations
@@ -56,22 +58,8 @@ class FlipSet:
         return cls(((run << shift) | (run >> (n - shift))) & ((1 << n) - 1), n)
 
     @property
-    def sites(self) -> tuple:
-        return tuple(b + 1 for b in range(self.n) if (self.mask >> b) & 1)
-
-    @property
     def size(self) -> int:
         return self.mask.bit_count()
-
-    def arc_witness(self):
-        """(start, length) when the set is a connected arc; (1, n) for the full ring; None otherwise."""
-        if self.mask == (1 << self.n) - 1:
-            return (1, self.n)
-        if not is_connected(self):
-            return None
-        # the start is the one member site whose predecessor is outside
-        start = self.mask & ~_rotated_left(self.mask, self.n)
-        return (start.bit_length(), self.size)
 
 
 def is_connected(flipset: FlipSet) -> bool:
@@ -96,15 +84,12 @@ class ClusterDecomposition:
     """Connected components of the +1 and -1 site sets of one configuration.
 
     Components are site masks listed by their lowest site, which fixes the
-    component indices used in tests; the aligned and frustrated bonds are
-    bond masks.
+    component indices used in tests; the aligned bonds are a bond mask.
     """
 
-    n: int
     plus_components: tuple
     minus_components: tuple
     aligned_bonds: int
-    frustrated_bonds: int
 
     @property
     def plus_count(self) -> int:
@@ -141,7 +126,7 @@ def decompose(config: Configuration) -> ClusterDecomposition:
         comps += [hi ^ lo for lo, hi in zip(below, below[1:])]
     plus = tuple(c for c in comps if bits & c)
     minus = tuple(c for c in comps if not bits & c)
-    return ClusterDecomposition(n, plus, minus, full ^ cut, cut)
+    return ClusterDecomposition(plus, minus, full ^ cut)
 
 
 def plus_component_count(bits: int, n: int) -> int:

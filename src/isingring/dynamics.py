@@ -2,42 +2,29 @@
 updates, chain runners, exact stationary sampling, and critical-point hitting
 times.
 
-Wolff updates come from one arc-law engine; the stack algorithm is kept only
-as the reference oracle:
-
-* On the ring a Wolff cluster is an arc, and the stack growth is equivalent
-  to truncated-geometric extensions right and left of a uniform seed:
-  extending by g sites within the seed's component has probability
-  bond_prob^g * bond_miss below the cap and bond_prob^cap at it. The law is
-  written once on bit-packed states: ``_wolff_arc_block`` on Python ints (any
-  n) and its uint64 twin ``_arc_runs`` + ``_arc_flip_masks`` (n <= 64). RNG
-  consumption per step: one integer plus two uniforms, drawn in blocks of
-  seeds, then right uniforms, then left uniforms (``_arc_draws``). Chains
-  (``_chain_bits``) draw one block of up to ``CHAIN_DRAW_BLOCK`` steps at a
-  time and step it in one tight loop; ``hitting_time_aligned`` draws one
-  block of n + 1 steps, steps the c merges the plus-component count c
-  predicts in one call, and the rest only if none of those states is
-  aligned. ``wolff_step_many`` and the kernel's bulk one-step sampler draw
-  one block per call and use the twin.
-
-* ``wolff_step`` is the reference stack algorithm: grow the cluster from a
-  uniformly chosen seed, testing each ring bond at most once (visited-bond
-  set), pushing accepted sites on a LIFO stack, and examining each popped
-  site's +1 neighbor before its -1 neighbor. RNG consumption: one integer
-  for the seed, then one uniform per aligned bond tested, in that stack
-  order; anti-aligned bonds are deterministic rejections and consume nothing.
-
-Both realize the same transition law, but they consume randomness
-differently, so trajectories are only reproducible within one of them. The
-kernel's ``empirical_vs_exact`` checks the bulk sampler against the exact
-kernel rows; the stack sampler's one-step counts, checked the same way, are
-an oracle in the test suite (``tests/_oracles.py``).
+Every Wolff update comes from one arc-law engine. On the ring a Wolff
+cluster is an arc, and the stack growth is equivalent to truncated-geometric
+extensions right and left of a uniform seed: extending by g sites within the
+seed's component has probability bond_prob^g * bond_miss below the cap and
+bond_prob^cap at it. The law is written once on bit-packed states:
+``_wolff_arc_block`` on Python ints (any n) and its uint64 twin
+``_arc_runs`` + ``_arc_flip_masks`` (n <= 64). RNG consumption per step: one
+integer plus two uniforms, drawn in blocks of seeds, then right uniforms,
+then left uniforms (``_arc_draws``). Chains (``_chain_bits``) draw one block
+of up to ``CHAIN_DRAW_BLOCK`` steps at a time and step it in one tight loop;
+``hitting_time_aligned`` draws one block of n + 1 steps, steps the c merges
+the plus-component count c predicts in one call, and the rest only if none
+of those states is aligned. ``wolff_step_many`` and the kernel's bulk
+one-step sampler draw one block per call and use the twin. The kernel's
+``empirical_vs_exact`` checks the bulk sampler against the exact kernel
+rows; the stack algorithm, checked the same way, is an oracle in the test
+suite (``tests/_oracles.py``).
 
 Glauber paths read one heat-bath table, ``_glauber_flip_probs``; chains draw
 sites, then uniforms, in the Wolff blocks, turn each block's uniforms into
 flip thresholds in numpy (``_glauber_keys``) and step the block in one tight
-loop on the frustrated-bond mask (``_glauber_block``); ``glauber_step`` is
-the per-step reference.
+loop on the frustrated-bond mask (``_glauber_block``). ``glauber_step_many``
+steps many independent rows once each.
 
 ``iter_chain`` streams a chain of either dynamics as bit-packed ints, with no
 ``Configuration`` per state.
@@ -76,55 +63,6 @@ INVERSE_CDF_SITE_LIMIT = 20
 
 #: Chains pre-draw the randomness of at most this many steps at once.
 CHAIN_DRAW_BLOCK = 4096
-
-
-def _wolff_step_bits(bits: int, n: int, bond_prob: float, gen: np.random.Generator) -> int:
-    """One stack-algorithm Wolff update on a bit-packed configuration."""
-    seed = int(gen.integers(n))
-    seed_spin = (bits >> seed) & 1
-    cluster = 1 << seed
-    visited = 0  # bond b joins sites b and (b+1) mod n
-    stack = [seed]
-    while stack:
-        i = stack.pop()
-        # +1 neighbor over bond i first, then -1 neighbor over bond i-1;
-        # at n=2 these are the two distinct bonds joining the same pair
-        for j, bond in (((i + 1) % n, i), ((i - 1) % n, (i - 1) % n)):
-            bond_bit = 1 << bond
-            if visited & bond_bit:
-                continue
-            if ((bits >> j) & 1) != seed_spin:
-                continue  # anti-aligned: no trial, bond can never open
-            visited |= bond_bit
-            if gen.random() < bond_prob and not (cluster >> j) & 1:
-                cluster |= 1 << j
-                stack.append(j)
-    return bits ^ cluster
-
-
-def wolff_step(config: Configuration, params: ModelParams, rng) -> Configuration:
-    """One Wolff cluster update; valid for any coupling in [0, INFINITE]."""
-    if config.n != params.n:
-        raise ValueError("configuration and params sizes differ")
-    gen = as_generator(rng)
-    bond_prob = derived_constants(params).bond_prob
-    return Configuration(_wolff_step_bits(config.bits, params.n, bond_prob, gen), params.n)
-
-
-def glauber_step(config: Configuration, params: ModelParams, rng) -> Configuration:
-    """One heat-bath update: flip a uniform site with its conditional Gibbs odds.
-
-    The chosen site flips with probability e^{2J}/(e^{2J}+e^{-2J}), 1/2 or
-    e^{-2J}/(e^{2J}+e^{-2J}) when 0, 1 or 2 of its neighbours are aligned with
-    it. The per-step reference: consumes one integer, then one uniform, per call.
-    """
-    flip_probs = _glauber_flip_probs(params.require_finite("glauber_step"))
-    if config.n != params.n:
-        raise ValueError("configuration and params sizes differ")
-    gen = as_generator(rng)
-    site = int(gen.integers(params.n))
-    keys = _glauber_keys(np.array([gen.random()]), flip_probs)
-    return Configuration(_glauber_block(config.bits, (site,), keys, params.n)[0], params.n)
 
 
 def _glauber_flip_probs(j_hat: float) -> np.ndarray:
@@ -369,24 +307,7 @@ def _random_bits(n: int, gen: np.random.Generator) -> int:
 class Trajectory:
     """A stored chain Y_1..Y_M (bit-packed). Y_1 is the initial configuration."""
 
-    params: ModelParams
-    kind: str
     states: np.ndarray  # uint64 bits, length M
-
-    @property
-    def steps(self) -> int:
-        return len(self.states)
-
-    @property
-    def initial(self) -> Configuration:
-        return self.config(0)
-
-    def config(self, k: int) -> Configuration:
-        return Configuration(int(self.states[k]), self.params.n)
-
-    def __iter__(self) -> Iterator[Configuration]:
-        n = self.params.n
-        return (Configuration(int(b), n) for b in self.states)
 
 
 def decode_states(states: np.ndarray, n: int) -> np.ndarray:
@@ -462,7 +383,7 @@ def run_chain(initial: InitialLaw, steps: int, kind: str, params: ModelParams, r
         raise ValueError("steps must be >= 1")
     gen = as_generator(rng)
     chain = _chain_bits(initial.sample(params, gen).bits, steps, kind, params, gen)
-    return Trajectory(params=params, kind=kind, states=np.fromiter(chain, dtype=np.uint64, count=steps))
+    return Trajectory(states=np.fromiter(chain, dtype=np.uint64, count=steps))
 
 
 def hitting_time_aligned(initial: Configuration, rng) -> int:

@@ -90,15 +90,8 @@ def entropy_batch(fs: np.ndarray, measure: GibbsMeasure) -> np.ndarray:
     return out
 
 
-def variance(f, measure: GibbsMeasure) -> float:
-    """E[f^2] - (E[f])^2 under the Gibbs measure."""
-    vec = _as_vector(f, len(measure.probabilities))
-    mu = measure.probabilities
-    mean = float(vec @ mu)
-    return float(vec**2 @ mu) - mean * mean
-
-
 def variance_batch(fs: np.ndarray, measure: GibbsMeasure) -> np.ndarray:
+    """E[f^2] - (E[f])^2 under the Gibbs measure, one per row of ``fs``."""
     mu = measure.probabilities
     means = fs @ mu
     return fs**2 @ mu - means**2
@@ -162,16 +155,6 @@ def certify_lsi(f, kernel: TransitionKernel, measure: GibbsMeasure, constant: Op
     lhs = entropy(vec**2, measure)
     rhs = constant * dirichlet_form(vec, kernel, measure)
     return InequalityReport(family="single", kind="lsi", lhs=lhs, rhs=rhs)
-
-
-def certify_poincare(f, kernel: TransitionKernel, measure: GibbsMeasure, constant: Optional[float] = None) -> InequalityReport:
-    """Check Var(f) <= constant * E(f) for one function."""
-    if constant is None:
-        constant = poincare_constant_bound(kernel.params.require_finite("certify_poincare"), kernel.n)
-    vec = _as_vector(f, kernel.size)
-    lhs = variance(vec, measure)
-    rhs = constant * dirichlet_form(vec, kernel, measure)
-    return InequalityReport(family="single", kind="poincare", lhs=lhs, rhs=rhs)
 
 
 def ergodic_l2_bound(j_hat: float, n: int, m: int, f_norm: float) -> tuple:

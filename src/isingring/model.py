@@ -1,7 +1,7 @@
 """Exact finite-size quantities for the 1D Ising ring.
 
-Everything here is closed-form or a direct enumeration: Hamiltonian, Gibbs
-measure, transfer-matrix partition function, two-point correlations and the
+Everything here is closed-form or a direct enumeration: the bond sum of
+every state, the Gibbs measure, two-point correlations and the closed-form
 susceptibility row sum. Spin configurations are bit-packed integers (bit
 b = 1 means spin +1 at site b+1); public site indices are 1-based.
 
@@ -10,7 +10,7 @@ than ``float('inf')`` so that derived constants are set exactly and
 Gibbs-measure operations reject it explicitly instead of propagating NaNs.
 
 Note on N=2: the ring then carries two bonds between the same pair of sites,
-(1,2) and (2,1), and the Hamiltonian sums both. Results at N=2 are
+(1,2) and (2,1), and the bond sum counts both. Results at N=2 are
 self-consistent under that convention but not physical.
 """
 
@@ -115,10 +115,6 @@ class Configuration:
     def all_plus(cls, n: int) -> "Configuration":
         return cls((1 << n) - 1, n)
 
-    @classmethod
-    def all_minus(cls, n: int) -> "Configuration":
-        return cls(0, n)
-
     def spin(self, site: int) -> int:
         """Spin at 1-based site index (periodic: site N+1 is site 1)."""
         b = (site - 1) % self.n
@@ -127,22 +123,10 @@ class Configuration:
     def spins(self) -> tuple:
         return tuple(2 * ((self.bits >> b) & 1) - 1 for b in range(self.n))
 
-    def flip(self, mask: int) -> "Configuration":
-        """Flip the spins at the bit positions set in ``mask``."""
-        return Configuration(self.bits ^ (mask & ((1 << self.n) - 1)), self.n)
-
-    def negated(self) -> "Configuration":
-        return Configuration(self.bits ^ ((1 << self.n) - 1), self.n)
-
     @property
     def is_aligned(self) -> bool:
         """True for the two fully aligned configurations."""
         return self.bits == 0 or self.bits == (1 << self.n) - 1
-
-    @property
-    def index(self) -> int:
-        """Position of this configuration in the binary state order."""
-        return self.bits
 
 
 @dataclass(frozen=True)
@@ -150,83 +134,33 @@ class DerivedConstants:
     """Closed-form constants of the exactly solved ring.
 
     bond_prob is the Wolff cluster-growth probability 1 - e^{-2J}; bond_miss
-    its complement e^{-2J}. tm_plus/tm_minus are the transfer-matrix
-    eigenvalues e^J + e^{-J} and e^J - e^{-J}; tanh_j their ratio, which is
-    also the infinite-volume nearest-neighbor correlation; corr_length the
-    correlation length -1/log(tanh_j); partition the partition function
-    tm_plus^N + tm_minus^N.
+    its complement e^{-2J}. tanh_j is the ratio of the transfer-matrix
+    eigenvalues e^J - e^{-J} and e^J + e^{-J}, which is also the
+    infinite-volume nearest-neighbor correlation.
     """
 
     bond_prob: float
     bond_miss: float
-    tm_plus: float
-    tm_minus: float
     tanh_j: float
-    corr_length: float
-    partition: float
 
 
 def derived_constants(params: ModelParams) -> DerivedConstants:
     """Evaluate the solved-model constants, with exact values at the endpoints."""
     if params.is_critical:
-        return DerivedConstants(
-            bond_prob=1.0,
-            bond_miss=0.0,
-            tm_plus=math.inf,
-            tm_minus=math.inf,
-            tanh_j=1.0,
-            corr_length=math.inf,
-            partition=math.inf,
-        )
+        return DerivedConstants(bond_prob=1.0, bond_miss=0.0, tanh_j=1.0)
     j = float(params.j_hat)
     lam_plus = math.exp(j) + math.exp(-j)
     lam_minus = math.exp(j) - math.exp(-j)
-    theta = lam_minus / lam_plus
-    if theta == 0.0:
-        corr_length = 0.0
-    elif theta == 1.0:
-        corr_length = math.inf  # tanh J rounds to 1 once J is above about 19
-    else:
-        corr_length = -1.0 / math.log(theta)
-    try:
-        partition = lam_plus**params.n + lam_minus**params.n
-    except OverflowError:
-        partition = math.inf  # huge rings: only the sampling paths apply there
     return DerivedConstants(
         bond_prob=1.0 - math.exp(-2.0 * j),
         bond_miss=math.exp(-2.0 * j),
-        tm_plus=lam_plus,
-        tm_minus=lam_minus,
-        tanh_j=theta,
-        corr_length=corr_length,
-        partition=partition,
+        tanh_j=lam_minus / lam_plus,
     )
 
 
 def _rotated_bits(bits, n: int):
     """Bit b of the result is bit (b+1) mod n of the input (a Python int or an integer array)."""
     return (bits >> 1) | ((bits & 1) << (n - 1))
-
-
-def frustrated_bond_count(config: Configuration) -> int:
-    """Number of ring bonds whose endpoint spins differ (counts both N=2 bonds)."""
-    t = config.bits ^ _rotated_bits(config.bits, config.n)
-    return t.bit_count()
-
-
-def hamiltonian(config: Configuration, params: ModelParams) -> int:
-    """Energy -sum_i sigma_i sigma_{i+1} in units where the caller scales by j_hat."""
-    if config.n != params.n:
-        raise ValueError(f"configuration has n={config.n} but params have n={params.n}")
-    f = frustrated_bond_count(config)
-    return 2 * f - params.n
-
-
-def partition_function(params: ModelParams) -> float:
-    """Transfer-matrix partition function tm_plus^N + tm_minus^N."""
-    params.require_finite("partition_function")
-    c = derived_constants(params)
-    return c.partition
 
 
 def bond_sum_all_states(n: int) -> np.ndarray:
@@ -238,24 +172,12 @@ def bond_sum_all_states(n: int) -> np.ndarray:
     return n - 2 * np.bitwise_count(states ^ _rotated_bits(states, n)).astype(np.int64)
 
 
-def gibbs_probability(config: Configuration, params: ModelParams) -> float:
-    """mu_N(sigma) = exp(J sum sigma_i sigma_{i+1}) / Z_N."""
-    j = params.require_finite("gibbs_probability")
-    if config.n != params.n:
-        raise ValueError(f"configuration has n={config.n} but params have n={params.n}")
-    return math.exp(-j * hamiltonian(config, params)) / partition_function(params)
-
-
 @dataclass(frozen=True)
 class GibbsMeasure:
     """Exact probability vector over all 2^N configurations in binary order."""
 
     n: int
-    j_hat: float
     probabilities: np.ndarray
-
-    def probability(self, config: Configuration) -> float:
-        return float(self.probabilities[config.bits])
 
 
 def gibbs_measure(params: ModelParams) -> GibbsMeasure:
@@ -270,7 +192,7 @@ def gibbs_measure(params: ModelParams) -> GibbsMeasure:
     if math.isinf(total):
         raise ValueError(f"the Gibbs weight sum overflows a float64 at j_hat={j!r}, n={params.n}")
     probs = weights / total
-    return GibbsMeasure(n=params.n, j_hat=j, probabilities=probs)
+    return GibbsMeasure(n=params.n, probabilities=probs)
 
 
 def _check_site(i: int, n: int) -> int:
@@ -295,19 +217,12 @@ def two_point_correlation(i: int, j: int, params: ModelParams) -> float:
     return (theta**d + theta ** (params.n - d)) / (1.0 + theta**params.n)
 
 
-def susceptibility_row_sum(i: int, params: ModelParams) -> float:
-    """sum_j E[sigma_i sigma_j]; translation invariant, bounded by e^{2 j_hat}."""
-    params.require_finite("susceptibility_row_sum")
-    _check_site(i, params.n)
-    return float(sum(two_point_correlation(i, j, params) for j in range(1, params.n + 1)))
-
-
 def susceptibility_closed_form_bound(params: ModelParams) -> float:
     """The closed-form row sum 1 + 2 sum_{d=1}^{N-1} t^d / (1 + t^N), at most N.
 
-    Algebraically equal to 1 + 2 tm_plus/(tm_plus - tm_minus) (t - t^N)/(1 + t^N),
-    since tm_plus/(tm_plus - tm_minus) = 1/(1 - t); summing the powers avoids
-    the cancellation in t - t^N and 1 - t as t rounds towards 1 at large J.
+    Algebraically equal to 1 + 2 (t - t^N) / ((1 - t)(1 + t^N)); summing the
+    powers avoids the cancellation in t - t^N and 1 - t as t rounds towards 1
+    at large J.
     """
     params.require_finite("susceptibility_closed_form_bound")
     theta = derived_constants(params).tanh_j

@@ -122,8 +122,6 @@ def subcritical_norm_bound(params: ModelParams, m: int) -> tuple:
 class CovarianceRun:
     """Covariance of one chain plus batch-means error bars and hit bookkeeping."""
 
-    n: int
-    m: int
     matrix: np.ndarray
     batch_matrices: np.ndarray  # (batches, n, n)
     hit_index: Optional[int] = None
@@ -186,8 +184,6 @@ def run_covariance_chain(params: ModelParams, m: int, kind: str, rng) -> Covaria
     nonempty = [acc for acc in batch_accums if acc.count > 0]
     batch_matrices = np.stack([acc.matrix() for acc in nonempty])
     return CovarianceRun(
-        n=n,
-        m=m,
         matrix=total.matrix(),
         batch_matrices=batch_matrices,
         hit_index=hit_index,

@@ -10,10 +10,12 @@ simulate command's sums before its uint64 blocks; these two check the
 package bit for bit.
 
 The reference forms at the end of the module (stored-ensemble covariance,
-stack one-step counts, the component form of the Glauber flip probability,
-the brute-force partition function, the covariance dump reader) were once
-part of the package and only the tests read them; they use the package's
-data types and, where they say so, its enumeration helpers.
+the stack Wolff step and its one-step counts, the single-function variance,
+the susceptibility row sum, the component form of the Glauber flip
+probability, the brute-force partition function, the covariance dump
+reader) were once part of the package and only the tests read them; they
+use the package's data types and, where they say so, its enumeration
+helpers.
 """
 
 import itertools
@@ -117,15 +119,6 @@ def set_is_connected(sites, n):
                 seen.add(nxt)
                 stack.append(nxt)
     return seen == sites
-
-
-def set_arc_witness(sites, n):
-    """First (start, length) in lexicographic order whose arc equals the set, else None."""
-    for start in range(1, n + 1):
-        for length in range(1, n + 1):
-            if {(start - 1 + k) % n + 1 for k in range(length)} == sites:
-                return (start, length)
-    return None
 
 
 def percolation_step_distribution(spins, j):
@@ -293,10 +286,11 @@ def full_ratio_ascent_adversary(kernel, measure, rng, target="lsi", restarts=100
     and ``variance`` over the whole state space. It draws from ``rng`` in the
     same order as ``functionals.ratio_ascent_adversary``, which must return
     the same vector bit for bit. Unlike the rest of this module it calls the
-    package's single-function functionals, so that the two searches differ
-    only in how a trial is scored.
+    package's single-function functionals (and this module's ``variance``,
+    once the package's), so that the two searches differ only in how a
+    trial is scored.
     """
-    from isingring.functionals import dirichlet_form, entropy, variance
+    from isingring.functionals import dirichlet_form, entropy
     from isingring.randomness import as_generator
 
     gen = as_generator(rng)
@@ -357,12 +351,12 @@ class Ensemble:
         return self.x.shape[1]
 
 
-def build_ensemble(trajectory):
-    """The stored ensemble of a ``Trajectory``, decoded in one piece."""
+def build_ensemble(trajectory, n):
+    """The stored ensemble of a ``Trajectory`` on ``n`` sites, decoded in one piece."""
     from isingring.dynamics import decode_states
 
-    spins = decode_states(trajectory.states, trajectory.params.n).astype(np.float64)
-    return Ensemble(x=spins.T / math.sqrt(trajectory.params.n))
+    spins = decode_states(trajectory.states, n).astype(np.float64)
+    return Ensemble(x=spins.T / math.sqrt(n))
 
 
 def covariance_matrix(ensemble):
@@ -376,7 +370,7 @@ def correlation_matrix(ensemble):
 
 
 def ergodic_average(f, configurations):
-    """(1/M) sum_k f(Y_k) over a Trajectory or any iterable of configurations."""
+    """(1/M) sum_k f(Y_k) over any iterable of configurations."""
     total = 0.0
     count = 0
     for cfg in configurations:
@@ -387,15 +381,40 @@ def ergodic_average(f, configurations):
     return total / count
 
 
+def _wolff_step_bits(bits, n, bond_prob, gen):
+    """One stack-algorithm Wolff update on a bit-packed configuration."""
+    seed = int(gen.integers(n))
+    seed_spin = (bits >> seed) & 1
+    cluster = 1 << seed
+    visited = 0  # bond b joins sites b and (b+1) mod n
+    stack = [seed]
+    while stack:
+        i = stack.pop()
+        # +1 neighbor over bond i first, then -1 neighbor over bond i-1;
+        # at n=2 these are the two distinct bonds joining the same pair
+        for j, bond in (((i + 1) % n, i), ((i - 1) % n, (i - 1) % n)):
+            bond_bit = 1 << bond
+            if visited & bond_bit:
+                continue
+            if ((bits >> j) & 1) != seed_spin:
+                continue  # anti-aligned: no trial, bond can never open
+            visited |= bond_bit
+            if gen.random() < bond_prob and not (cluster >> j) & 1:
+                cluster |= 1 << j
+                stack.append(j)
+    return bits ^ cluster
+
+
 def one_step_counts_stack(state_bits, kernel, trials, gen):
-    """One-step target counts from ``state_bits`` by the reference stack steppers.
+    """One-step target counts from ``state_bits`` by the reference per-trial steppers.
 
     Takes the place of ``kernel._one_step_counts_bulk`` in
-    ``empirical_vs_exact``: the same law, but one ``wolff_step``-style
-    cluster growth (or ``glauber_step``) per trial.
+    ``empirical_vs_exact``: the same law, but one stack-algorithm cluster
+    growth (``_wolff_step_bits``) per Wolff trial, or one heat-bath update
+    drawing a site and then a uniform per Glauber trial.
     """
-    from isingring import Configuration, derived_constants
-    from isingring.dynamics import WOLFF, _wolff_step_bits, glauber_step
+    from isingring import derived_constants
+    from isingring.dynamics import WOLFF, _glauber_flip_probs
 
     n = kernel.n
     counts = np.zeros(kernel.size, dtype=np.int64)
@@ -404,10 +423,30 @@ def one_step_counts_stack(state_bits, kernel, trials, gen):
         for _ in range(trials):
             counts[_wolff_step_bits(state_bits, n, bond_prob, gen)] += 1
     else:
-        cfg = Configuration(state_bits, n)
+        flip_probs = _glauber_flip_probs(kernel.params.require_finite("one_step_counts_stack"))
         for _ in range(trials):
-            counts[glauber_step(cfg, kernel.params, gen).bits] += 1
+            site = int(gen.integers(n))
+            counts[_glauber_flip_bits(state_bits, site, gen.random(), n, flip_probs)] += 1
     return counts
+
+
+def variance(f, measure):
+    """E[f^2] - (E[f])^2 under the Gibbs measure."""
+    from isingring.functionals import _as_vector
+
+    vec = _as_vector(f, len(measure.probabilities))
+    mu = measure.probabilities
+    mean = float(vec @ mu)
+    return float(vec**2 @ mu) - mean * mean
+
+
+def susceptibility_row_sum(i, params):
+    """sum_j E[sigma_i sigma_j]; translation invariant, bounded by e^{2 j_hat}."""
+    from isingring.model import _check_site, two_point_correlation
+
+    params.require_finite("susceptibility_row_sum")
+    _check_site(i, params.n)
+    return float(sum(two_point_correlation(i, j, params) for j in range(1, params.n + 1)))
 
 
 def glauber_flip_probability_from_components(config, site, params):

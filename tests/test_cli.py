@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingring import INFINITE, InitialLaw, ModelParams, RngStream, __version__, iter_chain
 from isingring.cli import RunConfig, _ergodic_sums, main, parse_config, parse_j_hat, UsageError
@@ -68,6 +72,21 @@ class TestParsing:
             conf.write_text(line)
             with pytest.raises(UsageError, match="unknown config key"):
                 parse_config(["simulate", "--config", str(conf), "--n", "4", "--j-hat", "0"])
+
+    @pytest.mark.parametrize("spelling", ["-0", "-0.0"])
+    def test_negative_zero_coupling_is_the_zero_coupling(self, spelling, tmp_path):
+        # a signed zero computes every number as 0 does, so it writes the same bytes
+        argv = ["simulate", "--n", "6", "--m", "100"]
+        assert parse_j_hat(spelling) == 0.0 and str(parse_j_hat(spelling)) == "0.0"
+        assert main(argv + ["--j-hat", "0", "--out", str(tmp_path / "zero")]) == 0
+        assert main(argv + ["--j-hat", spelling, "--out", str(tmp_path / "flag")]) == 0
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"j-hat={spelling}\n")
+        assert main(argv + ["--config", str(conf), "--out", str(tmp_path / "file")]) == 0
+        zero = (tmp_path / "zero" / "simulate.csv").read_bytes()
+        assert (tmp_path / "flag" / "simulate.csv").read_bytes() == zero
+        assert (tmp_path / "file" / "simulate.csv").read_bytes() == zero
+        assert zero.endswith(b"# config_hash=250d36ec1789805d\n")
 
     def test_hash_ignores_output_path(self):
         a = parse_config(["hitting", "--n", "6", "--out", "/tmp/a"])
@@ -256,6 +275,16 @@ class TestExitCodes:
         assert err == "error: empirical check enumerates all start states; cap is n <= 8\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("j_hat", ["0.5", "10"])
+    def test_kernel_verify_scores_a_row_pooled_whole(self, j_hat, tmp_path):
+        # at 5 trials every target of a row is pooled; the bucket holds all the
+        # row's mass (exactly, or a rounding unit above 1 at j_hat = 10), so its
+        # binomial variance is not positive: it scores 0, not a NaN dropped
+        # with a RuntimeWarning (an error in this suite)
+        assert main(["kernel-verify", "--n", "3", "--j-hat", j_hat, "--trials", "5", "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "kernel-verify.csv").read_text().splitlines()]
+        assert next(r for r in rows if r[0] == "wolff_empirical_max_z") == ["wolff_empirical_max_z", "0.0", "4.0", "1"]
+
     def test_hitting_passes(self, tmp_path):
         assert main(["hitting", "--n", "7", "--count", "40", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "hitting.csv").read_text().splitlines()
@@ -297,6 +326,81 @@ class TestExitCodes:
         assert main(["sweep", "--j-hat", "0.5", "--n-list", "4,6", "--seed", "2", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("n,j_hat,m,seed,lambda1")
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+#: Malformed spellings tried for every option.
+_JUNK = st.sampled_from(["", "x", "1.5", "1e2", "0x3", "- 1", "nan", "-inf", "None", "\u0663", "1,2"])
+
+#: Each option's (in-range values, edge and out-of-range values); the in-range
+#: values are bounded so that any run that starts stays small.
+_FUZZ_OPTIONS = {
+    "seed": (_ints(0, 9), _ints(-2, -1)),
+    "n": (_ints(2, 6), _ints(-1, 1)),
+    "j-hat": (st.one_of(st.sampled_from(["0", "-0", "0.0", "inf"]), st.floats(0.0, 3.6).map(repr)),
+              st.sampled_from(["3.7", "10", "30", "400", "1e300", "5e-324", "-1", "-0.5", "Inf"])),
+    "m": (_ints(1, 400), _ints(-1, 0)),
+    "dynamics": (st.sampled_from(["wolff", "glauber"]), st.sampled_from(["metropolis", "WOLFF"])),
+    "initial": (st.sampled_from(["stationary", "all-plus", "uniform"]), st.sampled_from(["fixed", "Uniform"])),
+    "trials": (_ints(0, 60), _ints(-2, -1)),
+    "functions": (_ints(0, 20), _ints(-2, -1)),
+    "replicas": (_ints(1, 3), _ints(-1, 0)),
+    "save-matrix": (st.sampled_from(["0", "1", "yes", "no", "true", "false"]), st.sampled_from(["maybe", "2"])),
+    "count": (_ints(1, 30), _ints(-1, 0)),
+    "n-list": (st.lists(st.integers(2, 6), min_size=1, max_size=4, unique=True).map(lambda ns: ",".join(map(str, sorted(ns)))),
+               st.one_of(st.lists(st.integers(-1, 6), max_size=4).map(lambda ns: ",".join(map(str, ns))),
+                         st.sampled_from([",", "4,,6", "4;6", "4, 6", "6,4", "4,4", "a"]))),
+}
+
+_FUZZ_COMMANDS = {
+    "simulate": ["seed", "n", "j-hat", "m", "dynamics", "initial"],
+    "kernel-verify": ["seed", "n", "j-hat", "trials"],
+    "lsi-verify": ["seed", "n", "j-hat", "functions"],
+    "spectra": ["seed", "n", "j-hat", "m", "replicas", "save-matrix"],
+    "hitting": ["seed", "n", "count"],
+    "sweep": ["seed", "j-hat", "n-list", "replicas"],
+}
+
+#: Options whose defaults are past the size bounds, so they are always given.
+_ALWAYS = {"m", "functions", "count", "n-list"}
+
+
+@st.composite
+def _command_lines(draw):
+    # an option is given three times in four (a required one seven times in
+    # eight), with an in-range value four times in five, so that many command
+    # lines get as far as a run
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    argv = [command]
+    for name in _FUZZ_COMMANDS[command]:
+        if name in _ALWAYS or draw(st.integers(0, 7)) < (7 if name in ("n", "j-hat") else 6):
+            kind = draw(st.integers(0, 9))
+            good, edge = _FUZZ_OPTIONS[name]
+            argv += [f"--{name}", draw(good if kind < 8 else edge if kind == 8 else _JUNK)]
+    if draw(st.integers(0, 19)) == 0:
+        argv += ["--config", "missing.conf"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_command_lines())
+def test_no_invalid_input_escapes_as_a_traceback(argv):
+    # any command line, valid or not, ends in an exit code: a run's own (0 or 1),
+    # or one "error:" line on stderr (2 usage, 3 resource limit); never an exception
+    with tempfile.TemporaryDirectory() as out:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", out])
+    assert code in (0, 1, 2, 3)
+    err = stderr.getvalue()
+    if code >= 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert stdout.getvalue() == ""
+    else:
+        assert err == ""
 
 
 class TestParallelismAndArtifacts:

@@ -27,14 +27,14 @@ def test_decompose_all_plus():
     d = decompose(Configuration.all_plus(5))
     assert d.plus_count == 1 and d.minus_count == 0
     assert d.plus_components == (FlipSet.from_sites([1, 2, 3, 4, 5], 5).mask,)
-    assert d.frustrated_bonds == 0
+    assert d.aligned_bonds == 0b11111
 
 
 def test_decompose_alternating():
     d = decompose(Configuration.from_spins([1, -1, 1, -1]))
     assert d.plus_count == d.minus_count == 2
     assert all(c.bit_count() == 1 for c in d.components())
-    assert d.frustrated_bonds.bit_count() == 4
+    assert d.aligned_bonds == 0
 
 
 def test_decompose_wraps_the_seam():
@@ -54,18 +54,18 @@ def test_decompose_invariants_every_state(n):
         assert sizes == n
         counts = (d.plus_count, d.minus_count)
         assert counts[0] == counts[1] or counts in ((1, 0), (0, 1))
-        assert d.aligned_bonds & d.frustrated_bonds == 0
-        assert d.aligned_bonds | d.frustrated_bonds == full
+        assert d.aligned_bonds & ~full == 0
+        frustrated = full ^ d.aligned_bonds
         if counts[0] == counts[1]:
-            assert d.frustrated_bonds.bit_count() == 2 * d.plus_count
+            assert frustrated.bit_count() == 2 * d.plus_count
         else:
-            assert d.frustrated_bonds == 0
-        assert d.frustrated_bonds.bit_count() % 2 == 0
+            assert frustrated == 0
+        assert frustrated.bit_count() % 2 == 0
         # flipping every component reproduces the global flip
         mask = 0
         for comp in d.components():
             mask |= comp
-        assert cfg.flip(mask) == cfg.negated()
+        assert bits ^ mask == full ^ bits
         # each component is one aligned arc; each list is ordered by lowest site
         for comp in d.components():
             assert is_connected(FlipSet(comp, n))
@@ -74,7 +74,7 @@ def test_decompose_invariants_every_state(n):
             lows = [c & -c for c in group]
             assert lows == sorted(lows)
         # plus/minus roles swap exactly under global flip
-        d_neg = decompose(cfg.negated())
+        d_neg = decompose(Configuration(full ^ bits, n))
         assert d_neg.plus_components == d.minus_components
         assert d_neg.minus_components == d.plus_components
 
@@ -105,7 +105,7 @@ def test_decompose_matches_union_find_oracle():
         assert [frozenset(sites_of(c, n)) for c in d.minus_components] == minus
         aligned = {(b + 1, (b + 1) % n + 1) for b in range(n) if spins[b] == spins[(b + 1) % n]}
         assert bonds_of(d.aligned_bonds, n) == aligned
-        assert bonds_of(d.frustrated_bonds, n) == set(oracle.ring_bonds(n)) - aligned
+        assert bonds_of(((1 << n) - 1) ^ d.aligned_bonds, n) == set(oracle.ring_bonds(n)) - aligned
 
 
 def test_edge_boundary_examples():
@@ -138,7 +138,6 @@ def test_boundaries_and_arcs_match_set_oracle_every_mask(n):
         assert bonds_of(edge_boundary(flip), n) == oracle.set_edge_boundary(sites, n)
         assert sites_of(vertex_boundary(flip), n) == oracle.set_vertex_boundary(sites, n)
         assert is_connected(flip) == oracle.set_is_connected(sites, n)
-        assert flip.arc_witness() == oracle.set_arc_witness(sites, n)
 
 
 def test_proper_arc_boundary_sizes():
@@ -149,16 +148,7 @@ def test_proper_arc_boundary_sizes():
                 assert sites_of(arc.mask, n) == {(start - 1 + k) % n + 1 for k in range(length)}
                 assert edge_boundary(arc).bit_count() == 2
                 assert vertex_boundary(arc).bit_count() == (1 if length == 1 else 2)
-                assert arc.arc_witness() == (start, length)
                 # the start is taken mod n
                 assert FlipSet.arc(start + n, length, n) == arc
                 assert FlipSet.arc(start - n, length, n) == arc
             assert FlipSet.arc(start, n, n).mask == (1 << n) - 1
-
-
-def test_arc_witness_round_trip():
-    arc = FlipSet.arc(5, 3, 6)
-    assert arc.sites == (1, 5, 6)
-    assert arc.arc_witness() == (5, 3)
-    assert FlipSet.from_sites([2, 4], 6).arc_witness() is None
-    assert FlipSet.arc(1, 6, 6).arc_witness() == (1, 6)

@@ -18,15 +18,13 @@ from isingring import (
     derived_constants,
     encode_spins,
     gibbs_measure,
-    gibbs_probability,
-    glauber_step,
+    glauber_step_many,
     hitting_time_aligned,
     iter_chain,
     run_chain,
     sample_stationary,
     sample_stationary_many,
     two_point_correlation,
-    wolff_step,
     wolff_step_many,
 )
 from isingring import dynamics
@@ -42,18 +40,22 @@ from isingring.functionals import lsi_constant_bound
 import _oracles as oracle
 
 
+def tiled(cfg, rows):
+    """``rows`` copies of a configuration's spins, as batch-stepper input."""
+    return np.tile(np.array(cfg.spins(), dtype=np.int8), (rows, 1))
+
+
 class TestWolffStep:
     def test_zero_coupling_flips_exactly_one_site(self):
         params = ModelParams(7, 0.0)
         gen = RngStream(1).generator()
         cfg = Configuration.from_spins([1, -1, 1, 1, -1, -1, 1])
+        states = run_chain(InitialLaw.fixed(cfg), 501, WOLFF, params, gen).states.tolist()
         seen_sites = set()
-        for _ in range(500):
-            nxt = wolff_step(cfg, params, gen)
-            diff = nxt.bits ^ cfg.bits
+        for a, b in zip(states, states[1:]):
+            diff = a ^ b
             assert bin(diff).count("1") == 1
             seen_sites.add(diff.bit_length())
-            cfg = nxt
         assert seen_sites == set(range(1, 8))  # every site gets chosen eventually
 
     def test_always_changes_the_state(self):
@@ -61,40 +63,37 @@ class TestWolffStep:
         for j in (0.0, 0.3, 1.0):
             params = ModelParams(6, j)
             cfg = Configuration.from_spins([1, 1, -1, 1, -1, -1])
-            for _ in range(100):
-                nxt = wolff_step(cfg, params, gen)
-                assert nxt != cfg
-                cfg = nxt
+            states = run_chain(InitialLaw.fixed(cfg), 101, WOLFF, params, gen).states.tolist()
+            for a, b in zip(states, states[1:]):
+                assert a != b
 
     def test_cluster_is_aligned_arc(self):
+        from isingring import FlipSet, is_connected
+
         params = ModelParams(8, 0.7)
         gen = RngStream(3).generator()
         cfg = Configuration.from_spins([1, 1, -1, 1, -1, -1, 1, 1])
-        for _ in range(300):
-            nxt = wolff_step(cfg, params, gen)
-            flipped = [b + 1 for b in range(8) if (nxt.bits ^ cfg.bits) >> b & 1]
-            values = {cfg.spin(s) for s in flipped}
+        states = run_chain(InitialLaw.fixed(cfg), 301, WOLFF, params, gen).states.tolist()
+        for a, b in zip(states, states[1:]):
+            flipped = [k + 1 for k in range(8) if (a ^ b) >> k & 1]
+            values = {Configuration(a, 8).spin(s) for s in flipped}
             assert len(values) == 1  # all flipped spins shared one sign
-            from isingring import FlipSet, is_connected
-
             assert is_connected(FlipSet.from_sites(flipped, 8))
-            cfg = nxt
 
     def test_critical_deterministic_from_aligned(self):
         params = ModelParams(5, INFINITE)
         gen = RngStream(4).generator()
         plus = Configuration.all_plus(5)
-        for _ in range(10):
-            assert wolff_step(plus, params, gen) == plus.negated()
+        assert (wolff_step_many(tiled(plus, 10), params, gen) == -1).all()
 
     def test_critical_flips_exactly_one_component(self):
         params = ModelParams(9, INFINITE)
         gen = RngStream(5).generator()
         cfg = Configuration.from_spins([1, 1, -1, 1, -1, -1, 1, -1, 1])
         components = decompose(cfg).components()
-        for _ in range(200):
-            nxt = wolff_step(cfg, params, gen)
-            assert nxt.bits ^ cfg.bits in components
+        flips = encode_spins(wolff_step_many(tiled(cfg, 200), params, gen)) ^ np.uint64(cfg.bits)
+        for flip in flips.tolist():
+            assert flip in components
 
 
 class TestGlauberStep:
@@ -102,34 +101,29 @@ class TestGlauberStep:
         params = ModelParams(6, 0.0)
         gen = RngStream(6).generator()
         cfg = Configuration.from_spins([1, -1, 1, -1, 1, 1])
-        stays = 0
         trials = 20000
-        for _ in range(trials):
-            nxt = glauber_step(cfg, params, gen)
-            diff = bin(nxt.bits ^ cfg.bits).count("1")
-            assert diff <= 1
-            stays += diff == 0
+        nxt = encode_spins(glauber_step_many(tiled(cfg, trials), params, gen))
+        diff = np.bitwise_count(nxt ^ np.uint64(cfg.bits))
+        assert (diff <= 1).all()
+        stays = int((diff == 0).sum())
         assert abs(stays / trials - 0.5) < 0.02
 
     def test_flip_rate_with_opposed_neighbors(self):
         # sigma_i (s_{i-1}+s_{i+1}) = -2: flip probability e^{2J}/(e^{2J}+e^{-2J})
         j = 0.6
         params = ModelParams(3, j)
-        cfg = Configuration.from_spins([-1, 1, -1])  # site 2 opposed on both sides... site 2 is +1 between -1s
+        cfg = Configuration.from_spins([-1, 1, -1])  # site 2 is +1 between two -1s
         gen = RngStream(7).generator()
         trials = 200000
-        flips_at_2 = 0
-        for _ in range(trials):
-            nxt = glauber_step(cfg, params, gen)
-            if nxt.bits != cfg.bits and (nxt.bits ^ cfg.bits) == 0b010:
-                flips_at_2 += 1
+        nxt = encode_spins(glauber_step_many(tiled(cfg, trials), params, gen))
+        flips_at_2 = int(((nxt ^ np.uint64(cfg.bits)) == 0b010).sum())
         p_expected = math.exp(2 * j) / (math.exp(2 * j) + math.exp(-2 * j)) / 3
         se = math.sqrt(p_expected * (1 - p_expected) / trials)
         assert abs(flips_at_2 / trials - p_expected) <= 4 * se
 
     def test_critical_rejected(self):
         with pytest.raises(CriticalCouplingError):
-            glauber_step(Configuration.all_plus(4), ModelParams(4, INFINITE), RngStream(0))
+            glauber_step_many(tiled(Configuration.all_plus(4), 1), ModelParams(4, INFINITE), RngStream(0).generator())
 
     def test_heat_bath_odds_overflow_raises_naming_the_coupling(self):
         # e^{2J} is finite at J = 354 and overflows from about 354.9, where the odds would read inf/inf = NaN
@@ -143,8 +137,8 @@ class TestChains:
         params = ModelParams(5, 0.5)
         cfg = Configuration.from_spins([1, 1, -1, 1, -1])
         traj = run_chain(InitialLaw.fixed(cfg), 1, WOLFF, params, RngStream(8))
-        assert traj.steps == 1
-        assert traj.initial == cfg
+        assert len(traj.states) == 1
+        assert Configuration(int(traj.states[0]), 5) == cfg
 
     def test_determinism(self):
         params = ModelParams(8, 0.8)
@@ -182,12 +176,13 @@ class TestChains:
     def test_ergodic_average_constant(self):
         params = ModelParams(4, 0.5)
         traj = run_chain(InitialLaw.all_plus(), 25, WOLFF, params, RngStream(13))
-        assert oracle.ergodic_average(lambda c: 3.25, traj) == pytest.approx(3.25)
+        configs = (Configuration(int(b), 4) for b in traj.states)
+        assert oracle.ergodic_average(lambda c: 3.25, configs) == pytest.approx(3.25)
 
     def test_ergodic_average_magnetization_decays(self):
         params = ModelParams(6, 0.5)
         traj = run_chain(InitialLaw.all_plus(), 20000, WOLFF, params, RngStream(14))
-        mag = oracle.ergodic_average(lambda c: sum(c.spins()) / 6, traj)
+        mag = oracle.ergodic_average(lambda c: sum(c.spins()) / 6, (Configuration(int(b), 6) for b in traj.states))
         assert abs(mag) < 0.05
 
     def test_ergodic_average_pair_correlation(self):
@@ -205,7 +200,7 @@ class TestChains:
 
 class TestHitting:
     def test_aligned_start(self):
-        assert hitting_time_aligned(Configuration.all_minus(6), RngStream(16)) == 1
+        assert hitting_time_aligned(Configuration(0, 6), RngStream(16)) == 1
 
     def test_alternating_start(self):
         cfg = Configuration.from_spins([1, -1, 1, -1, 1, -1])
@@ -277,7 +272,7 @@ class TestStationarySampling:
 
     def test_all_plus_frequency(self):
         params = ModelParams(8, 1.0)
-        target = gibbs_probability(Configuration.all_plus(8), params)
+        target = gibbs_measure(params).probabilities[(1 << 8) - 1]
         draws = 200000
         spins = sample_stationary_many(params, draws, RngStream(22))
         hits = int((spins == 1).all(axis=1).sum())

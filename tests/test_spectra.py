@@ -35,14 +35,14 @@ class TestEnsemble:
     def test_single_column(self):
         params = ModelParams(9, 0.5)
         traj = run_chain(InitialLaw.all_plus(), 1, WOLFF, params, RngStream(1))
-        ens = oracle.build_ensemble(traj)
+        ens = oracle.build_ensemble(traj, 9)
         assert ens.x.shape == (9, 1)
         assert np.linalg.norm(ens.x[:, 0]) == pytest.approx(1.0, rel=1e-14)
 
     def test_correlation_matrix_normalization(self):
         params = ModelParams(6, 0.4)
         traj = run_chain(InitialLaw.uniform_random(), 40, WOLFF, params, RngStream(2))
-        ens = oracle.build_ensemble(traj)
+        ens = oracle.build_ensemble(traj, 6)
         corr = oracle.correlation_matrix(ens)
         assert np.trace(corr) == pytest.approx(1.0, rel=1e-13)
         np.testing.assert_allclose(np.diag(corr), 1.0 / 40, atol=1e-15)
@@ -50,7 +50,7 @@ class TestEnsemble:
     def test_covariance_and_correlation_share_spectrum(self):
         params = ModelParams(6, 0.4)
         traj = run_chain(InitialLaw.uniform_random(), 12, WOLFF, params, RngStream(3))
-        ens = oracle.build_ensemble(traj)
+        ens = oracle.build_ensemble(traj, 6)
         ev_k = eigenvalues_symmetric(oracle.covariance_matrix(ens))
         ev_c = eigenvalues_symmetric(oracle.correlation_matrix(ens))
         nonzero_k = ev_k[ev_k > 1e-12]
@@ -244,7 +244,7 @@ class TestCovarianceRuns:
         assert m > ACCUMULATE_BLOCK and 16 <= INVERSE_CDF_SITE_LIMIT < 24
         run = run_covariance_chain(params, m, kind, RngStream(15, n))
         traj = run_chain(InitialLaw.stationary(), m, kind, params, RngStream(15, n))
-        np.testing.assert_allclose(run.matrix, oracle.covariance_matrix(oracle.build_ensemble(traj)), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(run.matrix, oracle.covariance_matrix(oracle.build_ensemble(traj, n)), rtol=0, atol=1e-13)
 
     def test_simulated_covariance_matches_exact_limit_entrywise(self):
         params = ModelParams(8, 0.5)
