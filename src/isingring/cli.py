@@ -68,7 +68,7 @@ from .functionals import (
     lsi_constant_bound,
     poincare_constant_bound,
 )
-from .randomness import RngStream
+from .randomness import RngStream, keyed_generators
 from .spectra import (
     ACCUMULATE_BLOCK,
     CSV_COLUMNS,
@@ -82,6 +82,9 @@ from .spectra import (
 USAGE_ERROR = 2
 CERTIFICATION_ERROR = 1
 RESOURCE_ERROR = 3
+
+#: ``hitting`` replica k draws stream k + 1, and stream ids are one 32-bit spawn word.
+MAX_HITTING_COUNT = (1 << 32) - 1
 
 
 class UsageError(ValueError):
@@ -305,8 +308,9 @@ def _validate(config: RunConfig):
     if config.command == "hitting":
         if v["n"] > 63:
             raise UsageError(f"n={v['n']} exceeds 63: the uniform start is drawn as a 64-bit signed integer")
-        if v["count"] < 1:
-            raise UsageError("need --count >= 1")
+        if not 1 <= v["count"] <= MAX_HITTING_COUNT:
+            raise UsageError(f"need 1 <= --count <= {MAX_HITTING_COUNT}: replica k draws stream k + 1, "
+                             "and stream ids are 32-bit")
     if config.command == "lsi-verify" and v["functions"] < 0:
         raise UsageError("need --functions >= 0")
     if config.command == "kernel-verify" and v["trials"] < 0:
@@ -531,12 +535,13 @@ def _cmd_hitting(config: RunConfig) -> int:
     n = config.n
     rows = []
     ok = True
-    rng = RngStream(config.seed)
-    gen = rng.generator()
-    for k in range(config.count):
-        initial = Configuration(int(gen.integers(0, 1 << n)), n)
-        ctilde = plus_component_count(initial.bits, n)
-        hit = hitting_time_aligned(initial, RngStream(config.seed, k + 1))
+    # replica k starts from the k-th uniform draw of stream 0 and steps on stream k + 1
+    starts = RngStream(config.seed).generator().integers(0, 1 << n, size=config.count).tolist()
+    replica_gens = keyed_generators(config.seed, range(1, config.count + 1))
+    for k, (bits, gen) in enumerate(zip(starts, replica_gens)):
+        initial = Configuration(bits, n)
+        ctilde = plus_component_count(bits, n)
+        hit = hitting_time_aligned(initial, gen)
         # each step merges one component pair: ctilde plus components align after ctilde steps
         good = hit == (1 if initial.is_aligned else ctilde + 1)
         ok = ok and good

@@ -41,7 +41,6 @@ import numpy as np
 
 from .clusters import plus_component_count
 from .model import (
-    INFINITE,
     Configuration,
     ModelParams,
     ResourceLimitError,
@@ -393,10 +392,13 @@ def hitting_time_aligned(initial: Configuration, rng) -> int:
     chain merges exactly one component pair per step, so the value is the
     initial plus-component count c + 1 (deterministic even though the path is
     random). The chain's n + 1 steps are drawn as one block, as ``_chain_bits``
-    draws a chain of n + 2 states. The first c draws are stepped in one
+    draws a chain of n + 2 states: n + 1 seeds, then n + 1 right and n + 1
+    left uniforms. At 'inf' the bond probability is 1, so both extensions are
+    the cap n and the uniforms are drawn unread, which keeps a caller's
+    generator in step with the chain's. The first c draws are stepped in one
     ``_wolff_arc_block`` call, and the rest of the block only if none of
     those states is aligned, so the index returned is the one the chain
-    reaches, not the one predicted.
+    reaches, not the one predicted. An aligned start draws nothing.
     """
     gen = as_generator(rng)
     n = initial.n
@@ -404,10 +406,12 @@ def hitting_time_aligned(initial: Configuration, rng) -> int:
     bits = initial.bits
     if bits == 0 or bits == full:
         return 1
-    draws = [d.tolist() for d in _arc_draws(gen, n + 1, n, derived_constants(ModelParams(n, INFINITE)).bond_prob)]
+    seeds = gen.integers(0, n, size=n + 1).tolist()
+    gen.random(2 * (n + 1))  # the right, then the left uniforms, unread
+    caps = [n] * (n + 1)
     predicted = plus_component_count(bits, n)
     for lo, hi in ((0, predicted), (predicted, n + 1)):
-        for k, bits in enumerate(_wolff_arc_block(bits, *(d[lo:hi] for d in draws), n), start=lo + 2):
+        for k, bits in enumerate(_wolff_arc_block(bits, seeds[lo:hi], caps, caps, n), start=lo + 2):
             if bits == 0 or bits == full:
                 return k
     # cannot happen: at most n/2 merges are needed

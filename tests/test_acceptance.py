@@ -30,8 +30,10 @@ from isingring import (
     check_detailed_balance,
     decode_states,
     decompose,
+    derived_constants,
     eigenvalues_symmetric,
     empirical_vs_exact,
+    encode_spins,
     exact_limit_covariance,
     gershgorin_norm,
     gibbs_measure,
@@ -44,8 +46,8 @@ from isingring import (
     subcritical_norm_bound,
     symmetrize_and_decompose,
     two_point_correlation,
-    wolff_step_many,
 )
+from isingring.dynamics import _arc_draws, _arc_flip_masks, _arc_runs
 from isingring.functionals import SLACK_TOLERANCE, ratio_ascent_adversary, certify_lsi
 
 import _oracles as oracle
@@ -156,11 +158,16 @@ def test_criterion_5_ergodic_average_bound():
     exact = two_point_correlation(1, 2, params)
     _, traj_bound = (None, lsi_constant_bound(j, n) / m)  # ||f||_L2^2 = 1 for f = s1*s2
     gen = RngStream(SEED, 5).generator()
-    spins = sample_stationary_many(params, replicas, gen)
-    sums = (spins[:, 0] * spins[:, 1]).astype(np.float64)
+    states = encode_spins(sample_stationary_many(params, replicas, gen))
+    bond_prob = derived_constants(params).bond_prob
+    one = np.uint64(1)
+    unlike = (states ^ (states >> one)) & one  # per replica, the states with s1 != s2 (s1*s2 = -1)
+    # the draws and arithmetic of wolff_step_many, on packed states without decoding them
     for _ in range(m - 1):
-        spins = wolff_step_many(spins, params, gen)
-        sums += spins[:, 0] * spins[:, 1]
+        seeds, g_right, g_left = _arc_draws(gen, replicas, n, bond_prob)
+        states ^= _arc_flip_masks(seeds, g_right, g_left, *_arc_runs(states, seeds, n), n)
+        unlike += (states ^ (states >> one)) & one
+    sums = m - 2.0 * unlike  # sum of s1*s2 over the m states, an exact integer as before
     deviations = sums / m - exact
     mse = float((deviations**2).mean())
     ok = mse <= traj_bound

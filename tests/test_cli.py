@@ -115,6 +115,8 @@ class TestExitCodes:
         # the monotonicity rule compares sizes in list order
         ["sweep", "--j-hat", "0.5", "--n-list", "16,8"],
         ["sweep", "--j-hat", "0.5", "--n-list", "8,8"],
+        # replica k draws stream k + 1, and stream ids are 32-bit
+        ["hitting", "--n", "6", "--count", str(2**32)],
     ])
     def test_invalid_input_exits_2_with_one_line(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -240,6 +242,7 @@ class TestExitCodes:
         parse_config(["sweep", "--j-hat", "0.5", "--n-list", "4,64"])
         parse_config(["hitting", "--n", "6", "--count", "1"])
         parse_config(["hitting", "--n", "63", "--count", "1"])
+        parse_config(["hitting", "--n", "6", "--count", str(2**32 - 1)])
         parse_config(["lsi-verify", "--n", "4", "--j-hat", "0.5", "--functions", "0"])
         parse_config(["kernel-verify", "--n", "4", "--j-hat", "0.5", "--trials", "0"])
         parse_config(["lsi-verify", "--n", "14", "--j-hat", "3.6"])
@@ -552,6 +555,14 @@ GOLDEN_CHAIN_COMMANDS = [
      "a4a1bda3b4fb75adb1fa611aadeec92e6eda0a899525de0f9a2cf64ba144c3f8"),
     (["hitting", "--n", "3", "--count", "40"], 7, 0,
      "35ad5e9f2e16d7dec984dca0be00c0eb14330bc053e57c517879e7011f14bbdd"),
+    # the largest ring, whose uniform starts fill 63 bits, and a three-word seed, written by
+    # version 0.5.0 when every hitting replica built its own RngStream generator
+    (["hitting", "--n", "63", "--count", "50"], 0, 0,
+     "772a06c88f09677b0ff4ce5fb013fc8e658793133402fdfa115dc6b228ade028"),
+    (["hitting", "--n", "63", "--count", "50"], 7, 0,
+     "081edd78861ebf15c82ed401d8f6ef6df45f7de22a8ed75019683a122ce075ad"),
+    (["hitting", "--n", "48", "--count", "200"], 2**64 + 3, 0,
+     "f7b14e52cb4cef819b6095afb4d74ceb35a81998d9e7eabab953f373713c2f09"),
 ]
 
 

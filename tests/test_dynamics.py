@@ -236,6 +236,34 @@ class TestHitting:
         assert hitting_time_aligned(cfg, RngStream(20)) == steps + 1
         assert len(taken) <= cfg.n + 1
 
+    def test_a_callers_generator_moves_as_at_version_0_5_0(self):
+        # one generator through 1500 starts, every fifth aligned: the next uniform
+        # is the one the per-call-constants version (0.5.0 before keyed streams) left
+        n = 48
+        full = (1 << n) - 1
+        starts = RngStream(21).generator().integers(0, 1 << n, size=1500).tolist()
+        gen = RngStream(21, 1).generator()
+        for k, bits in enumerate(starts):
+            if k % 5 == 0:
+                bits = (0, full)[k // 5 % 2]
+            hitting_time_aligned(Configuration(bits, n), gen)
+        assert gen.random() == 0.25776633192789056
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 48, 63])
+    def test_a_start_draws_one_block_or_nothing(self, n):
+        # a non-aligned start draws n + 1 seeds and 2(n + 1) uniforms, an aligned one nothing
+        full = (1 << n) - 1
+        for bits in (0, full, 1, full >> 1, RngStream(22, n).generator().integers(1, full)):
+            gen, twin = RngStream(22).generator(), RngStream(22).generator()
+            hitting_time_aligned(Configuration(int(bits), n), gen)
+            if bits not in (0, full):
+                twin.integers(0, n, size=n + 1)
+                twin.random(2 * (n + 1))
+            state, twin_state = gen.bit_generator.state, twin.bit_generator.state
+            assert state["state"]["counter"].tolist() == twin_state["state"]["counter"].tolist()
+            assert (state["buffer_pos"], state["has_uint32"]) == (twin_state["buffer_pos"], twin_state["has_uint32"])
+            assert gen.random() == twin.random()
+
     def test_post_hit_alternation(self):
         params = ModelParams(8, INFINITE)
         gen = RngStream(19).generator()

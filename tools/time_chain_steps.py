@@ -9,9 +9,10 @@ chain of the case's number of states through ``iter_chain`` from a fixed start
 rings past 64 sites check that the block loops, whose masks grow with n, do
 not lose to the parent there. The hitting case runs
 ``hitting_time_aligned`` from the ``HITTING_STARTS`` starts that
-``isingring hitting --seed 0`` draws, start k on ``RngStream(0, k + 1)``, as
-that command does, ``REPEATS`` times; the time of a run divided by its starts
-is one sample. Prints one JSON object: per case, the samples and their median
+``isingring hitting --seed 0`` draws, start k on the generator of stream
+k + 1 as that command takes it (from ``keyed_generators`` in trees that have
+it, else ``RngStream(0, k + 1)``), ``REPEATS`` times; the time of a run
+divided by its starts is one sample. Prints one JSON object: per case, the samples and their median
 and quartiles, in microseconds per step or per start.
 """
 
@@ -45,11 +46,11 @@ HITTING_STARTS = 2000
 REPEATS = 3
 
 
-def _run_hitting(starts, hitting_time_aligned, RngStream) -> float:
-    """Seconds for one pass of ``hitting_time_aligned`` over ``starts``."""
+def _run_hitting(starts, hitting_time_aligned, replica_gens) -> float:
+    """Seconds for one pass of ``hitting_time_aligned`` over ``starts``, start k on stream k + 1."""
     t0 = time.perf_counter()
-    for k, initial in enumerate(starts):
-        hitting_time_aligned(initial, RngStream(0, k + 1))
+    for initial, gen in zip(starts, replica_gens(len(starts))):
+        hitting_time_aligned(initial, gen)
     return time.perf_counter() - t0
 
 
@@ -59,6 +60,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     from isingring import INFINITE, Configuration, InitialLaw, ModelParams, RngStream, hitting_time_aligned, iter_chain
+    from isingring import randomness
+
+    if hasattr(randomness, "keyed_generators"):
+        def replica_gens(count):
+            return randomness.keyed_generators(0, range(1, count + 1))
+    else:
+        def replica_gens(count):
+            return (RngStream(0, k + 1) for k in range(count))
 
     out = {}
     for name, kind, n, j, states in CASES:
@@ -66,9 +75,9 @@ def main(argv=None) -> int:
         if kind == "hitting":
             gen = RngStream(0).generator()
             starts = [Configuration(int(gen.integers(0, 1 << n)), n) for _ in range(HITTING_STARTS)]
-            _run_hitting(starts[:200], hitting_time_aligned, RngStream)  # warm up
+            _run_hitting(starts[:200], hitting_time_aligned, replica_gens)  # warm up
             for r in range(REPEATS):
-                samples.append(1e6 * _run_hitting(starts, hitting_time_aligned, RngStream) / HITTING_STARTS)
+                samples.append(1e6 * _run_hitting(starts, hitting_time_aligned, replica_gens) / HITTING_STARTS)
         else:
             params = ModelParams(n, INFINITE if j == "inf" else j)
             law = InitialLaw.fixed(Configuration(0b1011 << (n // 2), n))
