@@ -43,10 +43,12 @@ from .model import (
 from .clusters import decompose  # unused here; bench/tracer.py rebinds this name on cli
 from .clusters import plus_component_count
 from .dynamics import (
+    CHAIN_DRAW_BLOCK,
     GLAUBER,
-    INVERSE_CDF_SITE_LIMIT,
+    STORAGE_BUDGET,
     WOLFF,
     InitialLaw,
+    _uniform_states,
     hitting_time_aligned,
     iter_chain,
 )
@@ -299,15 +301,15 @@ def _validate(config: RunConfig):
         largest = max(n for n, _ in cells)
         if largest > 64:
             raise UsageError(f"n={largest} exceeds 64: chain states are packed into 64-bit words")
-        if critical and largest > 63:
-            raise UsageError(f"n={largest} exceeds 63: the uniform start at 'inf' is drawn as a 64-bit signed integer")
         min_m = 2 * DEFAULT_BATCHES
         if not critical and any(m < min_m for _, m in cells):
             raise UsageError(f"need m >= {min_m} at finite coupling, two states per batch for the {DEFAULT_BATCHES} "
                              "batch means (sweep runs m = n^3, so every size must be >= 4)")
+    if config.command in ("simulate", "hitting"):
+        held = v["n"] + 1 if config.command == "hitting" else CHAIN_DRAW_BLOCK  # chain states held at once
+        if held * v["n"] > 8 * STORAGE_BUDGET:
+            raise UsageError(f"n={v['n']} is too large for {config.command}: {held} n-bit states exceed {STORAGE_BUDGET} bytes")
     if config.command == "hitting":
-        if v["n"] > 63:
-            raise UsageError(f"n={v['n']} exceeds 63: the uniform start is drawn as a 64-bit signed integer")
         if not 1 <= v["count"] <= MAX_HITTING_COUNT:
             raise UsageError(f"need 1 <= --count <= {MAX_HITTING_COUNT}: replica k draws stream k + 1, "
                              "and stream ids are 32-bit")
@@ -332,9 +334,7 @@ def _check_coupling_range(config: RunConfig):
     j = v["j_hat"]
     n = max(v["n_list"]) if config.command == "sweep" else v["n"]
     log_max = math.log(sys.float_info.max)
-    tabulated = config.command in ("kernel-verify", "lsi-verify") or (
-        config.command == "simulate" and v["initial"] == "stationary" and n <= INVERSE_CDF_SITE_LIMIT)
-    if tabulated and j * n + n * math.log(2.0) >= log_max:
+    if config.command in ("kernel-verify", "lsi-verify") and j * n + n * math.log(2.0) >= log_max:
         raise UsageError(f"--j-hat {j!r} is too large for n={n}: the Gibbs weights e^(j-hat*n) overflow a float64")
     if 2.0 * j >= log_max:
         raise UsageError(f"--j-hat {j!r} is too large: e^(2*j-hat) overflows a float64")
@@ -536,7 +536,7 @@ def _cmd_hitting(config: RunConfig) -> int:
     rows = []
     ok = True
     # replica k starts from the k-th uniform draw of stream 0 and steps on stream k + 1
-    starts = RngStream(config.seed).generator().integers(0, 1 << n, size=config.count).tolist()
+    starts = _uniform_states(n, config.count, RngStream(config.seed).generator())
     replica_gens = keyed_generators(config.seed, range(1, config.count + 1))
     for k, (bits, gen) in enumerate(zip(starts, replica_gens)):
         initial = Configuration(bits, n)

@@ -2,6 +2,12 @@
 updates, chain runners, exact stationary sampling, and critical-point hitting
 times.
 
+Starting laws, one draw each at any n: a uniform state is a row of one
+(count, ceil(n/64)) block of full-range uint64 words, most significant first
+and the first cut to its top bits (``_uniform_states``); Gibbs states take one
+(pending, n + 1) block of uniforms per attempt, and the rows with an odd
+domain-wall count are redrawn, in row order (``sample_stationary_many``).
+
 Every Wolff update comes from one arc-law engine. On the ring a Wolff
 cluster is an arc, and the stack growth is equivalent to truncated-geometric
 extensions right and left of a uniform seed: extending by g sites within the
@@ -46,7 +52,7 @@ from .model import (
     ResourceLimitError,
     _rotated_bits,
     derived_constants,
-    gibbs_measure,
+    gibbs_measure,  # unused here; bench/tracer.py rebinds this name on dynamics
 )
 from .randomness import as_generator
 
@@ -55,10 +61,6 @@ GLAUBER = "glauber"
 
 #: ``run_chain`` refuses to store trajectories larger than this many bytes.
 STORAGE_BUDGET = 256 * 1024 * 1024
-
-#: Exact inverse-CDF stationary sampling is used up to this size; beyond it
-#: the sequential transfer-matrix sampler takes over (both are exact).
-INVERSE_CDF_SITE_LIMIT = 20
 
 #: Chains pre-draw the randomness of at most this many steps at once.
 CHAIN_DRAW_BLOCK = 4096
@@ -286,20 +288,21 @@ class InitialLaw:
         if self.kind == self.ALL_PLUS:
             return Configuration.all_plus(params.n)
         if self.kind == self.UNIFORM:
-            bits = int(gen.integers(0, 1 << params.n)) if params.n <= 62 else _random_bits(params.n, gen)
-        elif self.kind == self.STATIONARY:
+            return Configuration(_uniform_states(params.n, 1, gen)[0], params.n)
+        if self.kind == self.STATIONARY:
             return sample_stationary(params, gen)
-        else:
-            raise ValueError(f"unknown initial law {self.kind!r}")
-        return Configuration(bits, params.n)
+        raise ValueError(f"unknown initial law {self.kind!r}")
 
 
-def _random_bits(n: int, gen: np.random.Generator) -> int:
-    bits = 0
-    for b in range(n):
-        if gen.integers(2):
-            bits |= 1 << b
-    return bits
+def _uniform_states(n: int, count: int, gen: np.random.Generator) -> list:
+    """``count`` uniform n-bit states as ints (draw order above); ``gen.integers(0, 1 << n, size=count)`` at 33 <= n <= 63."""
+    w = -(-n // 64)
+    words = gen.integers(0, 2**64, size=(count, w), dtype=np.uint64)
+    words[:, 0] >>= np.uint64(64 * w - n)
+    if w == 1:
+        return words[:, 0].tolist()
+    data = words.astype(">u8").tobytes()
+    return [int.from_bytes(data[k : k + 8 * w], "big") for k in range(0, len(data), 8 * w)]
 
 
 @dataclass(frozen=True)
@@ -419,35 +422,29 @@ def hitting_time_aligned(initial: Configuration, rng) -> int:
 
 
 def sample_stationary(params: ModelParams, rng) -> Configuration:
-    """One exact draw from the Gibbs measure."""
-    gen = as_generator(rng)
-    if params.n <= INVERSE_CDF_SITE_LIMIT:
-        params.require_finite("sample_stationary")
-        cdf = np.cumsum(gibbs_measure(params).probabilities)
-        bits = int(np.searchsorted(cdf, gen.random(), side="right"))
-        return Configuration(min(bits, (1 << params.n) - 1), params.n)
-    spins = sample_stationary_many(params, 1, gen)[0]
-    return Configuration.from_spins(spins.tolist())
+    """One exact draw from the Gibbs measure: ``sample_stationary_many`` with count 1."""
+    return Configuration.from_spins(sample_stationary_many(params, 1, rng)[0].tolist())
 
 
 def sample_stationary_many(params: ModelParams, count: int, rng) -> np.ndarray:
-    """Exact stationary sample of shape (count, n) via sequential transfer-matrix
-    conditionals: draw s_1 fairly, then each s_{k+1} given s_k and s_1 with the
-    wrap-around handled by the remaining-bond transfer-matrix power."""
-    j_hat = params.require_finite("sample_stationary_many")
+    """Exact Gibbs draws, shape (count, n), +-1 int8, from s_1 and the walls w_k = [s_k != s_{k+1}].
+
+    s_1 is fair and the n walls are i.i.d. with q = e^{-2J}/(1 + e^{-2J}), conditioned
+    on an even count (met with probability (1 + tanh(J)^n)/2 >= 1/2). In a pending
+    row, column 0 < 1/2 makes s_1 = -1 and column k < q sets w_k; the spins are s_1
+    flipped by the prefix XOR of w_1..w_{n-1}.
+    """
+    params.require_finite("sample_stationary_many")
     gen = as_generator(rng)
     n = params.n
-    theta = derived_constants(params).tanh_j
-    spins = np.empty((count, n), dtype=np.int8)
-    spins[:, 0] = np.where(gen.random(count) < 0.5, 1, -1).astype(np.int8)
-    ej = math.exp(j_hat)
-    emj = math.exp(-j_hat)
-    first = spins[:, 0].astype(np.float64)
-    for k in range(1, n):
-        prev = spins[:, k - 1].astype(np.float64)
-        t_rem = theta ** (n - k)  # bonds remaining from site k+1 around to site 1
-        w_plus = np.where(prev > 0, ej, emj) * (1.0 + first * t_rem)
-        w_minus = np.where(prev > 0, emj, ej) * (1.0 - first * t_rem)
-        p_plus = w_plus / (w_plus + w_minus)
-        spins[:, k] = np.where(gen.random(count) < p_plus, 1, -1).astype(np.int8)
-    return spins
+    bond_miss = derived_constants(params).bond_miss
+    thresholds = np.full(n + 1, bond_miss / (1.0 + bond_miss))
+    thresholds[0] = 0.5
+    minus = np.empty((count, n), dtype=bool)
+    pending = np.arange(count)
+    while pending.size:
+        marks = gen.random((pending.size, n + 1)) < thresholds
+        even = np.count_nonzero(marks[:, 1:], axis=1) % 2 == 0
+        minus[pending[even]] = np.logical_xor.accumulate(marks[even, :n], axis=1)
+        pending = pending[~even]
+    return np.where(minus, -1, 1).astype(np.int8)

@@ -25,7 +25,7 @@ from .model import (
     susceptibility_closed_form_bound,
 )
 from .clusters import decompose
-from .dynamics import _chain_bits, decode_states, sample_stationary
+from .dynamics import _chain_bits, _uniform_states, decode_states, sample_stationary
 from .functionals import lsi_constant_bound
 from .randomness import as_generator
 
@@ -159,7 +159,7 @@ def run_covariance_chain(params: ModelParams, m: int, kind: str, rng) -> Covaria
     gen = as_generator(rng)
     n = params.n
     if params.is_critical:
-        initial = Configuration(int(gen.integers(0, 1 << n)), n)
+        initial = Configuration(_uniform_states(n, 1, gen)[0], n)
     else:
         initial = sample_stationary(params, gen)
 

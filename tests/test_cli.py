@@ -12,10 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 from isingring import INFINITE, InitialLaw, ModelParams, RngStream, __version__, iter_chain
 from isingring.cli import RunConfig, _ergodic_sums, main, parse_config, parse_j_hat, UsageError
+from isingring.dynamics import CHAIN_DRAW_BLOCK, STORAGE_BUDGET
 
 import _oracles as oracle
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
+
+#: The largest rings hitting (one block of n + 1 states of n bits) and simulate
+#: (one draw block of n-bit states) accept within the storage budget.
+LARGEST_HITTING_N = 46340
+LARGEST_SIMULATE_N = 8 * STORAGE_BUDGET // CHAIN_DRAW_BLOCK
 
 
 class TestParsing:
@@ -54,10 +60,22 @@ class TestParsing:
             parse_config(["sweep", "--j-hat", "0.5", "--n-list", "1,4"])
         with pytest.raises(UsageError):
             parse_config(["sweep", "--j-hat", "0.5", "--n-list", ","])
-        with pytest.raises(UsageError):
-            parse_config(["hitting", "--n", "70"])
-        with pytest.raises(UsageError, match="exceeds 63"):
-            parse_config(["hitting", "--n", "64"])
+        assert (LARGEST_HITTING_N + 1) * LARGEST_HITTING_N <= 8 * STORAGE_BUDGET
+        assert (LARGEST_HITTING_N + 2) * (LARGEST_HITTING_N + 1) > 8 * STORAGE_BUDGET
+        parse_config(["hitting", "--n", str(LARGEST_HITTING_N - 1)])
+        parse_config(["hitting", "--n", str(LARGEST_HITTING_N)])
+        with pytest.raises(UsageError, match=f"n={LARGEST_HITTING_N + 1} is too large for hitting"):
+            parse_config(["hitting", "--n", str(LARGEST_HITTING_N + 1)])
+        with pytest.raises(UsageError, match="is too large for hitting"):
+            parse_config(["hitting", "--n", str(10**12)])
+
+    def test_simulate_ring_bound(self):
+        # one draw block of n-bit states must fit the storage budget; nothing here allocates it
+        argv = ["simulate", "--j-hat", "0.5", "--m", "10", "--n"]
+        parse_config(argv + [str(LARGEST_SIMULATE_N - 1)])
+        parse_config(argv + [str(LARGEST_SIMULATE_N)])
+        with pytest.raises(UsageError, match=f"n={LARGEST_SIMULATE_N + 1} is too large for simulate"):
+            parse_config(argv + [str(LARGEST_SIMULATE_N + 1)])
 
     def test_config_file_merge_and_override(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -108,7 +126,7 @@ class TestExitCodes:
         ["kernel-verify", "--n", "4", "--j-hat", "0.5", "--trials", "-5"],
         ["spectra", "--n", "65", "--j-hat", "0.5", "--m", "100"],
         ["sweep", "--j-hat", "0.5", "--n-list", "8,65"],
-        ["spectra", "--n", "64", "--j-hat", "inf", "--m", "100"],
+        ["spectra", "--n", "65", "--j-hat", "inf", "--m", "100"],
         ["spectra", "--n", "8", "--j-hat", "0.5", "--m", "39"],
         ["sweep", "--j-hat", "0.5", "--n-list", "3,8"],
         ["sweep", "--j-hat", "0.5", "--n-list", "4", "--threads", "2"],
@@ -238,10 +256,10 @@ class TestExitCodes:
 
     def test_limits_of_the_new_checks_still_parse(self):
         parse_config(["spectra", "--n", "64", "--j-hat", "0.5", "--m", "40"])
-        parse_config(["spectra", "--n", "63", "--j-hat", "inf", "--m", "5"])
+        parse_config(["spectra", "--n", "64", "--j-hat", "inf", "--m", "5"])
         parse_config(["sweep", "--j-hat", "0.5", "--n-list", "4,64"])
         parse_config(["hitting", "--n", "6", "--count", "1"])
-        parse_config(["hitting", "--n", "63", "--count", "1"])
+        parse_config(["hitting", "--n", str(LARGEST_HITTING_N), "--count", "1"])
         parse_config(["hitting", "--n", "6", "--count", str(2**32 - 1)])
         parse_config(["lsi-verify", "--n", "4", "--j-hat", "0.5", "--functions", "0"])
         parse_config(["kernel-verify", "--n", "4", "--j-hat", "0.5", "--trials", "0"])
@@ -306,10 +324,11 @@ class TestExitCodes:
         assert rows and all(row[4] == "0" for row in rows)
 
     def test_hitting_at_the_largest_ring(self, tmp_path):
-        # the uniform start at n = 63 is drawn below 2^63, the top of an int64
-        assert main(["hitting", "--n", "63", "--count", "20", "--out", str(tmp_path)]) == 0
+        # starts of 725 words; a replica's steps hold about n/4 states of n bits (about 70 MB)
+        n = str(LARGEST_HITTING_N)
+        assert main(["hitting", "--n", n, "--count", "2", "--out", str(tmp_path)]) == 0
         rows = [line.split(",") for line in (tmp_path / "hitting.csv").read_text().splitlines()[1:-2]]
-        assert len(rows) == 20 and all(row[0] == "63" and row[4] == "1" for row in rows)
+        assert len(rows) == 2 and all(row[0] == n and row[4] == "1" for row in rows)
 
     def test_spectra_critical(self, tmp_path):
         assert main(["spectra", "--n", "8", "--j-hat", "inf", "--m", "200", "--replicas", "2", "--out", str(tmp_path)]) == 0
@@ -484,10 +503,10 @@ def test_module_entry_point(tmp_path):
 
 
 # sha256 of lsi-verify.csv without its "# version=" line, written by version
-# 0.4.0 and unchanged at GOLDEN_VERSION. A change to the arithmetic of the
+# 0.4.0 and unchanged through GOLDEN_VERSION. A change to the arithmetic of the
 # certification sweep or its adversary moves them: bump the version, then
 # renew GOLDEN_VERSION and the hashes together.
-GOLDEN_VERSION = "0.5.0"
+GOLDEN_VERSION = "0.6.0"
 GOLDEN_LSI_VERIFY = [
     (["--n", "8", "--j-hat", "1.0", "--functions", "200"], 0,
      "569cf1f61597448cfbcc8348cecab90580decd25c62273955fbcc8d3e1dcf0c3"),
@@ -502,45 +521,46 @@ GOLDEN_LSI_VERIFY = [
 
 # The chain commands at sizes that cross a draw block (4096 steps) and, for
 # spectra (batches of 8500 states), an accumulate block (8192 states): sha256
-# of the CSV without its "# version=" line and the exit code, both written by
-# version 0.5.0 when chains made one function call per step. Any change to
-# the chains' draws or arithmetic moves them. sweep exits 0 here; the default
-# sweep and the benchmark's sweep exit 1 at seed 0 through pass_42.
+# of the CSV without its "# version=" line and the exit code. Any change to
+# the chains' draws or arithmetic moves them. Version 0.6.0 wrote the
+# commands with a stationary start (sweep, simulate), a uniform start at
+# n <= 32 (spectra, hitting at n = 2 and 3) or past 63 sites; the rest are
+# the files of version 0.5.0. sweep exits 1 at seed 0 through pass_42 at n = 16,
+# as the default sweep and the benchmark's sweep do.
 GOLDEN_CHAIN_COMMANDS = [
-    (["sweep", "--j-hat", "0.5", "--n-list", "16,24"], 0, 0,
-     "76fd8ff11a8e0f70f3b7973c72dad7655d666d36ebf41dc03779bc5d8889b9c1"),
+    (["sweep", "--j-hat", "0.5", "--n-list", "16,24"], 0, 1,
+     "663707e70e3cc81d1656b6c97a1f04a898d0e4d5be579c1d1e6cc32f6cc1b338"),
     (["sweep", "--j-hat", "0.5", "--n-list", "16,24"], 7, 0,
-     "8b2ae51ad7ded8dba7535d915af508df4643bea87d451ad053b33a12dabce279"),
+     "59a65f42180def45c0c72e7717b3af0b2edd93aaa7626db8028138eda292d0e7"),
     (["spectra", "--n", "16", "--j-hat", "inf", "--m", "170000"], 0, 0,
-     "442cf55d405475a80c18fc002eeaf15eb267842df38b43e6b59804789e3fec43"),
+     "d95a7e43a863006365c8f3736c0c1563c287ebca591a0ff7c4c10ecd89d2ec4f"),
     (["spectra", "--n", "16", "--j-hat", "inf", "--m", "170000"], 7, 0,
-     "37d609a76165ce5470b949118d8bb436bb46753c610c48e7fc55aefa26afe1d2"),
+     "3500e2a84c9232808524d4efe4bd011eb26a88b3571e70f8bfe1e77fbdb27867"),
     (["simulate", "--n", "32", "--j-hat", "0.5", "--m", "20000"], 0, 0,
-     "40370e3b1ad766c3fcaeee89bde2c7873353ef73870be1a11f30c7203a9db462"),
+     "65f7a816ae9324c732135107efd0c1006b052c944d33d5709d8b9f2a390e9569"),
     (["simulate", "--n", "32", "--j-hat", "0.5", "--m", "20000"], 7, 0,
-     "ce524e318045b119d85b810ade3b333533f709c59fca636849f8abfb19640a2e"),
+     "31800c89ff25f3c75d807f45ea9230c57535faa053ce5ed82cf775dff3366aa7"),
     (["simulate", "--n", "32", "--j-hat", "0.5", "--m", "20000", "--dynamics", "glauber"], 0, 0,
-     "7edfb09d7b5f014f3a64e4225084a8c51cb10854639c2dc425c6f1b48563180d"),
+     "1c00a5286520e771497a55e94f928b60a7dc15590a7cbb83a7c7b92a59f0e8c2"),
     (["simulate", "--n", "32", "--j-hat", "0.5", "--m", "20000", "--dynamics", "glauber"], 7, 0,
-     "49268abc8bdbeeece731170153b8885bc8f3a671a750b9ad37e9280b4d6b62f8"),
-    # simulate at the largest ring packed into a uint64 (64) and past it (100),
-    # written by simulate's per-state sums before they moved to uint64 blocks
+     "c1bf19eec8b21834c0b2444d5eac8c00e03e0977ffbf8585ceb62cd94705318c"),
+    # simulate at the largest ring packed into a uint64 (64) and past it (100)
     (["simulate", "--n", "64", "--j-hat", "0.5", "--m", "20000"], 0, 0,
-     "f44dcee1c5fc264159b8f39b692dcfca6a92fabceb6c262e5792bd4d85ceeb80"),
+     "eaa4edb2c6e46cc119945042002c39ded0a27b9c79eb6d622fa85d08adbf6f70"),
     (["simulate", "--n", "64", "--j-hat", "0.5", "--m", "20000"], 7, 0,
-     "03d29b2ae7cefec03487603deaef7962f14fb07484468891a9256ec6df0499b6"),
+     "9c2582a60cb34f0d896c1a4c2da259b3a1b6bf3214f06b6ff3b7eac640c76eee"),
     (["simulate", "--n", "64", "--j-hat", "0.5", "--m", "20000", "--dynamics", "glauber"], 0, 0,
-     "e33568dd90a5f7bcb17c8e944449e22acf98ebe319834f73866f99859ff153e8"),
+     "12827d51cebb468bb9c65d9a331eed0a1f4d93e2ba9cc932220da1b529e2939a"),
     (["simulate", "--n", "64", "--j-hat", "0.5", "--m", "20000", "--dynamics", "glauber"], 7, 0,
-     "b744007723ffed6d65d443f92fecaa11dd718029fb532d23efb11419e6d5305c"),
+     "b31aceca3687ebe22225ec92c8ceb758016eca632e3bdff8e0c4e59d0b9c9508"),
     (["simulate", "--n", "100", "--j-hat", "0.5", "--m", "5000"], 0, 0,
-     "1b0bae549ba64e39715de0d50e2663341ace6f4922e7e4b01320d49cb1fb4292"),
+     "71538d9c87193b6e1e79a920de3f29f0840f1dfa5783844f9af83d7047103e55"),
     (["simulate", "--n", "100", "--j-hat", "0.5", "--m", "5000"], 7, 0,
-     "c6cfb76718c76df4c654bba244ebb9f122b2048eced588ab8bf8ebc31cd1a09c"),
+     "419c164f93e0e51228c38e5e55daa5646ce9ba1b48029f806de489f54fb4b47d"),
     (["simulate", "--n", "100", "--j-hat", "0.5", "--m", "5000", "--dynamics", "glauber"], 0, 0,
-     "a00256e7446f67560846332a12f6e46b69bfbf7d4ecb40b07d091d2e95b0311f"),
+     "ea1cb0fe1213eda1c7c82b356d253a97662e13dde753483dd8a33f996899d222"),
     (["simulate", "--n", "100", "--j-hat", "0.5", "--m", "5000", "--dynamics", "glauber"], 7, 0,
-     "bffeb5a70fedf0bbf0fc531cd66769e8f294cb57db815f9e959cca2c32617952"),
+     "abb66570040ef8d7638ebb7788a15f65121fc5af3797e6d3e7e488f22e747e5b"),
     (["hitting", "--n", "48", "--count", "200"], 0, 0,
      "2c235a013a37b7cb25ba6250c4c936bf50ea9df0f7f7a32fb6b515510b53a744"),
     (["hitting", "--n", "48", "--count", "200"], 7, 0,
@@ -548,21 +568,34 @@ GOLDEN_CHAIN_COMMANDS = [
     # tiny rings draw aligned starts, all-plus (ctilde 1) and all-minus (ctilde 0),
     # which the n = 48 runs never do
     (["hitting", "--n", "2", "--count", "12"], 0, 0,
-     "ac6313a448097c1ad63f2194102cd43ee510ed24e574d9d6dd760fb1ff10a33d"),
+     "aa715bc57d47b9e79f7a8567800637014de50857eb5662a41e7dd8023956d89b"),
     (["hitting", "--n", "2", "--count", "12"], 7, 0,
-     "ec8bd95cde93fc99e6212070d59bf58dc2fef51f40c04fff34c447888836d38d"),
+     "a015807607792b66aeecaf75c9653604c85752ddfe4737ee1e121f4bf6dd20af"),
     (["hitting", "--n", "3", "--count", "40"], 0, 0,
-     "a4a1bda3b4fb75adb1fa611aadeec92e6eda0a899525de0f9a2cf64ba144c3f8"),
+     "5e9a1527ea84f42b6c0ab95cbe4374ded627249bac2692615ea73e2a88d7dfd8"),
     (["hitting", "--n", "3", "--count", "40"], 7, 0,
-     "35ad5e9f2e16d7dec984dca0be00c0eb14330bc053e57c517879e7011f14bbdd"),
-    # the largest ring, whose uniform starts fill 63 bits, and a three-word seed, written by
-    # version 0.5.0 when every hitting replica built its own RngStream generator
+     "586d967e9057e0f5a79be63aaa8341c34afb5dfb1f3b9bed99f2b54e3c990ef6"),
+    # uniform starts of 63 bits, the widest version 0.5.0 drew, and a three-word seed,
+    # written by version 0.5.0 when every hitting replica built its own RngStream generator
     (["hitting", "--n", "63", "--count", "50"], 0, 0,
      "772a06c88f09677b0ff4ce5fb013fc8e658793133402fdfa115dc6b228ade028"),
     (["hitting", "--n", "63", "--count", "50"], 7, 0,
      "081edd78861ebf15c82ed401d8f6ef6df45f7de22a8ed75019683a122ce075ad"),
     (["hitting", "--n", "48", "--count", "200"], 2**64 + 3, 0,
      "f7b14e52cb4cef819b6095afb4d74ceb35a81998d9e7eabab953f373713c2f09"),
+    # uniform starts of one full word and of two words, and the critical spectra at the packing cap
+    (["hitting", "--n", "64", "--count", "30"], 0, 0,
+     "6dd013db097aa089f7e2bdf812889e614863b2be08da61e217b79db72be38bfe"),
+    (["hitting", "--n", "64", "--count", "30"], 7, 0,
+     "833a94b69e827fcff644279fc0c9096538cb9cb6590c0f529a8e6e6d9085cc39"),
+    (["hitting", "--n", "100", "--count", "30"], 0, 0,
+     "5241bfbbccb3d98726c8d66383da03201413b90eea89087f551a62727c327c6f"),
+    (["hitting", "--n", "100", "--count", "30"], 7, 0,
+     "83cb72277749901bf6cd7b84e3f77e9a35f7443d50fca5228f1eaaf5d315b849"),
+    (["spectra", "--n", "64", "--j-hat", "inf", "--m", "1000"], 0, 0,
+     "2a3fc3156b3431bf90f3329f1a6409e80cde20dad048325bebd02069750a3a8e"),
+    (["spectra", "--n", "64", "--j-hat", "inf", "--m", "1000"], 7, 0,
+     "c8b652498c001091a438b82704917a41ad8c213c62b16d4dde41e07c4e7a6e83"),
 ]
 
 

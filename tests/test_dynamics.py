@@ -277,17 +277,71 @@ class TestHitting:
             assert post[k + 1] == post[k] ^ full
 
 
+def _pooled_chi_square(counts: np.ndarray, mu: np.ndarray, draws: int) -> tuple:
+    """Pearson statistic and degrees of freedom of state counts against ``draws * mu``.
+
+    The states expected fewer than 10 times share one cell, with as many of
+    the next rarest as it takes for that cell to expect 10; every other
+    state is its own cell.
+    """
+    expected = draws * mu
+    order = np.argsort(expected)
+    pooled = max(int(np.count_nonzero(expected < 10.0)),
+                 int(np.searchsorted(np.cumsum(expected[order]), 10.0)) + 1)
+    cells = order[pooled:]
+    observed = np.append(counts[cells], counts[order[:pooled]].sum())
+    expected = np.append(expected[cells], expected[order[:pooled]].sum())
+    return float(((observed - expected) ** 2 / expected).sum()), len(cells)
+
+
+def _chi_square_quantile(dof: int, z: float) -> float:
+    """Wilson-Hilferty approximation of the chi-square quantile at standard normal quantile ``z``."""
+    c = 2.0 / (9.0 * dof)
+    return dof * (1.0 - c + z * math.sqrt(c)) ** 3
+
+
+#: Standard normal quantile at 1 - 1e-4. The approximation puts a correct
+#: sampler's failure rate per case below at 1e-4; 40000 exact multinomial
+#: count vectors per case put it at 0.5e-4 to 2.3e-4, so the four cases
+#: together fail a correct sampler with probability below 1e-3.
+CHI_SQUARE_Z = 3.7190
+
+STATIONARY_DRAWS = 200000
+
+
+def _unconditioned_wall_draw(params: ModelParams, count: int, gen) -> np.ndarray:
+    # sample_stationary_many's first attempt, with every row kept whatever its wall count
+    miss = derived_constants(params).bond_miss
+    thresholds = np.full(params.n + 1, miss / (1.0 + miss))
+    thresholds[0] = 0.5
+    marks = gen.random((count, params.n + 1)) < thresholds
+    return np.where(np.logical_xor.accumulate(marks[:, : params.n], axis=1), -1, 1).astype(np.int8)
+
+
 class TestStationarySampling:
-    def test_inverse_cdf_frequencies(self):
-        params = ModelParams(6, 0.7)
-        mu = gibbs_measure(params).probabilities
-        gen = RngStream(20).generator()
-        draws = 100000
-        counts = np.zeros(64)
-        for _ in range(draws):
-            counts[sample_stationary(params, gen).bits] += 1
-        z = (counts - draws * mu) / np.sqrt(draws * mu * (1 - mu))
-        assert np.abs(z).max() <= 4.0
+    @pytest.mark.parametrize("n, j_hat", [(4, 0.3), (7, 0.5), (9, 2.0), (10, 1.0)])
+    def test_sampler_matches_the_gibbs_measure(self, n, j_hat):
+        params = ModelParams(n, j_hat)
+        spins = sample_stationary_many(params, STATIONARY_DRAWS, RngStream(20, n))
+        counts = np.bincount(encode_spins(spins).astype(np.int64), minlength=1 << n)
+        stat, dof = _pooled_chi_square(counts, gibbs_measure(params).probabilities, STATIONARY_DRAWS)
+        assert stat <= _chi_square_quantile(dof, CHI_SQUARE_Z)
+
+    def test_the_even_wall_count_condition_is_needed(self):
+        # negative control: without it about (1 - tanh(1)^4)/2 = 1/3 of the draws come
+        # from odd wall counts, and the pin above must fail
+        params = ModelParams(4, 1.0)
+        spins = _unconditioned_wall_draw(params, STATIONARY_DRAWS, RngStream(20, 4).generator())
+        counts = np.bincount(encode_spins(spins).astype(np.int64), minlength=16)
+        stat, dof = _pooled_chi_square(counts, gibbs_measure(params).probabilities, STATIONARY_DRAWS)
+        assert stat > _chi_square_quantile(dof, CHI_SQUARE_Z)
+
+    def test_one_draw_is_the_first_row_of_many(self):
+        params = ModelParams(9, 0.7)
+        for seed in range(20):
+            one = sample_stationary(params, RngStream(seed))
+            many = sample_stationary_many(params, 1, RngStream(seed))[0]
+            assert one == Configuration.from_spins(many.tolist())
 
     def test_zero_coupling_fair_signs(self):
         params = ModelParams(10, 0.0)
@@ -307,17 +361,6 @@ class TestStationarySampling:
         se = math.sqrt(draws * target * (1 - target))
         assert abs(hits - draws * target) <= 4 * se
 
-    def test_sequential_sampler_matches_exact_measure(self):
-        # the transfer-matrix path must agree with the enumerated measure
-        params = ModelParams(6, 0.9)
-        mu = gibbs_measure(params).probabilities
-        draws = 150000
-        spins = sample_stationary_many(params, draws, RngStream(23))
-        bits = encode_spins(spins)
-        counts = np.bincount(bits.astype(np.int64), minlength=64)
-        z = (counts - draws * mu) / np.sqrt(draws * mu * (1 - mu))
-        assert np.abs(z).max() <= 4.5
-
     def test_large_ring_pair_correlation(self):
         params = ModelParams(64, 0.5)
         spins = sample_stationary_many(params, 100000, RngStream(24))
@@ -329,6 +372,16 @@ class TestStationarySampling:
         exact_far = two_point_correlation(1, 33, params)
         emp_far = float((spins[:, 0] * spins[:, 32]).mean())
         assert abs(emp_far - exact_far) <= 4 / math.sqrt(100000) + 1e-3
+
+    def test_thousand_site_ring_pair_correlation(self):
+        # the draw is one (count, n + 1) block per attempt at any n; 5000 rows keep it near 40 MB
+        params = ModelParams(1024, 0.5)
+        draws = 5000
+        spins = sample_stationary_many(params, draws, RngStream(24))
+        for i, j in ((1, 2), (1, 1024), (1, 4), (1, 513)):
+            exact = two_point_correlation(i, j, params)
+            emp = float((spins[:, i - 1] * spins[:, j - 1]).mean())
+            assert abs(emp - exact) <= 4 * math.sqrt((1 - exact**2) / draws)
 
     def test_critical_rejected(self):
         with pytest.raises(CriticalCouplingError):

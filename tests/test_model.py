@@ -99,7 +99,7 @@ class TestPartitionFunction:
         assert abs(z_tm - z_brute) / z_brute <= 1e-12
 
     def test_critical_rejected(self):
-        # the transfer-matrix sampler has no partition function to condition on at INFINITE
+        # the Gibbs measure, and so the stationary sampler, does not exist at INFINITE
         with pytest.raises(CriticalCouplingError):
             sample_stationary_many(ModelParams(4, INFINITE), 1, np.random.default_rng(0))
 

@@ -6,6 +6,7 @@ changing CSV bytes."""
 import numpy as np
 import pytest
 
+from isingring.dynamics import _uniform_states
 from isingring.randomness import RngStream, _spawn_keys, keyed_generators
 
 #: Multi-word seeds (2^32 + 1 is two entropy words, 2^64 + 3 three) hash differently from one-word ones.
@@ -43,9 +44,25 @@ def test_out_of_range_seed_or_id_raises_before_any_draw(seed, streams):
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 48, 62, 63])
+@pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 48, 62, 63, 100])
 def test_batched_uniform_starts_equal_scalar_draws(seed, n):
-    # hitting draws its starts as one array; they must be the scalar draws of version 0.5.0
-    batched = RngStream(seed).generator().integers(0, 1 << n, size=300).tolist()
+    # hitting draws its starts as one batch; InitialLaw and spectra at 'inf' draw one at a time
+    batched = _uniform_states(n, 300, RngStream(seed).generator())
     gen = RngStream(seed).generator()
-    assert batched == [int(gen.integers(0, 1 << n)) for _ in range(300)]
+    assert batched == [_uniform_states(n, 1, gen)[0] for _ in range(300)]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", [33, 48, 63])
+def test_uniform_states_keep_the_bounded_integer_draws(seed, n):
+    # hitting at n = 48 and n = 63 keeps the starts of version 0.5.0
+    expected = RngStream(seed).generator().integers(0, 1 << n, size=300).tolist()
+    assert _uniform_states(n, 300, RngStream(seed).generator()) == expected
+
+
+@pytest.mark.parametrize("n", [2, 31, 32, 64, 65, 100, 128])
+def test_uniform_states_fill_n_bits(n):
+    states = _uniform_states(n, 200, RngStream(5).generator())
+    assert all(type(bits) is int and 0 <= bits < 1 << n for bits in states)
+    assert any(bits >> (n - 1) for bits in states)
+    assert len(set(states)) >= min(1 << n, 100)

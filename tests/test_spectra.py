@@ -25,7 +25,7 @@ from isingring import (
     subcritical_norm_bound,
     two_point_correlation,
 )
-from isingring.dynamics import INVERSE_CDF_SITE_LIMIT
+from isingring.dynamics import _uniform_states
 from isingring.spectra import ACCUMULATE_BLOCK, CSV_COLUMNS, result_row
 
 import _oracles as oracle
@@ -218,7 +218,7 @@ class TestCovarianceRuns:
     def test_critical_run_hits_and_condenses(self):
         # the run's uniform start is the first draw of its generator
         params = ModelParams(8, INFINITE)
-        initial = Configuration(int(RngStream(12).generator().integers(0, 256)), 8)
+        initial = Configuration(_uniform_states(8, 1, RngStream(12).generator())[0], 8)
         run = run_covariance_chain(params, 800, WOLFF, RngStream(12))
         ctilde = decompose(initial).plus_count
         assert run.initial_plus_components == ctilde
@@ -237,11 +237,11 @@ class TestCovarianceRuns:
     @pytest.mark.parametrize("kind", [WOLFF, GLAUBER])
     @pytest.mark.parametrize("n", [4, 16, 24])
     def test_streaming_matches_the_stored_ensemble(self, n, kind):
-        # both paths draw the stationary start, then step the same chain; n = 24
-        # starts past the inverse-CDF sampler and m crosses an accumulation block
+        # both paths draw the stationary start, then step the same chain; m crosses
+        # an accumulation block
         params = ModelParams(n, 0.5)
         m = 10007
-        assert m > ACCUMULATE_BLOCK and 16 <= INVERSE_CDF_SITE_LIMIT < 24
+        assert m > ACCUMULATE_BLOCK
         run = run_covariance_chain(params, m, kind, RngStream(15, n))
         traj = run_chain(InitialLaw.stationary(), m, kind, params, RngStream(15, n))
         np.testing.assert_allclose(run.matrix, oracle.covariance_matrix(oracle.build_ensemble(traj, n)), rtol=0, atol=1e-13)
