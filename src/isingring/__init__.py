@@ -84,4 +84,4 @@ from .spectra import (
     subcritical_norm_bound,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -306,7 +306,8 @@ def _validate(config: RunConfig):
             raise UsageError(f"need m >= {min_m} at finite coupling, two states per batch for the {DEFAULT_BATCHES} "
                              "batch means (sweep runs m = n^3, so every size must be >= 4)")
     if config.command in ("simulate", "hitting"):
-        held = v["n"] + 1 if config.command == "hitting" else CHAIN_DRAW_BLOCK  # chain states held at once
+        # simulate holds one draw block of states; hitting keeps the cap of a replica's n + 1 steps
+        held = v["n"] + 1 if config.command == "hitting" else CHAIN_DRAW_BLOCK
         if held * v["n"] > 8 * STORAGE_BUDGET:
             raise UsageError(f"n={v['n']} is too large for {config.command}: {held} n-bit states exceed {STORAGE_BUDGET} bytes")
     if config.command == "hitting":
@@ -533,20 +534,26 @@ def _cmd_spectra(config: RunConfig) -> int:
 
 def _cmd_hitting(config: RunConfig) -> int:
     n = config.n
-    rows = []
     ok = True
-    # replica k starts from the k-th uniform draw of stream 0 and steps on stream k + 1
-    starts = _uniform_states(n, config.count, RngStream(config.seed).generator())
-    replica_gens = keyed_generators(config.seed, range(1, config.count + 1))
-    for k, (bits, gen) in enumerate(zip(starts, replica_gens)):
-        initial = Configuration(bits, n)
-        ctilde = plus_component_count(bits, n)
-        hit = hitting_time_aligned(initial, gen)
-        # each step merges one component pair: ctilde plus components align after ctilde steps
-        good = hit == (1 if initial.is_aligned else ctilde + 1)
-        ok = ok and good
-        rows.append([str(n), str(k), str(ctilde), str(hit), str(int(good))])
-    write_csv(os.path.join(config.out, "hitting.csv"), ["n", "replica", "ctilde", "hit_index", "pass"], rows, config)
+
+    def rows():
+        # replica k starts from the k-th uniform draw of stream 0 and steps on stream k + 1;
+        # the starts are drawn CHAIN_DRAW_BLOCK at a time, so rows stream out in bounded memory
+        nonlocal ok
+        start_gen = RngStream(config.seed).generator()
+        for lo in range(0, config.count, CHAIN_DRAW_BLOCK):
+            hi = min(lo + CHAIN_DRAW_BLOCK, config.count)
+            starts = _uniform_states(n, hi - lo, start_gen)
+            for k, bits, gen in zip(range(lo, hi), starts, keyed_generators(config.seed, range(lo + 1, hi + 1))):
+                initial = Configuration(bits, n)
+                ctilde = plus_component_count(bits, n)
+                hit = hitting_time_aligned(initial, gen)
+                # each step merges one component pair: ctilde plus components align after ctilde steps
+                good = hit == (1 if initial.is_aligned else ctilde + 1)
+                ok = ok and good
+                yield [str(n), str(k), str(ctilde), str(hit), str(int(good))]
+
+    write_csv(os.path.join(config.out, "hitting.csv"), ["n", "replica", "ctilde", "hit_index", "pass"], rows(), config)
     print(f"hitting n={n} count={config.count}: every hit index is ctilde+1 (1 if aligned): {'PASS' if ok else 'FAIL'}")
     return 0 if ok else CERTIFICATION_ERROR
 

@@ -19,12 +19,12 @@ integer plus two uniforms, drawn in blocks of seeds, then right uniforms,
 then left uniforms (``_arc_draws``). Chains (``_chain_bits``) draw one block
 of up to ``CHAIN_DRAW_BLOCK`` steps at a time and step it in one tight loop;
 ``hitting_time_aligned`` draws one block of n + 1 steps, steps the c merges
-the plus-component count c predicts in one call, and the rest only if none
-of those states is aligned. ``wolff_step_many`` and the kernel's bulk
-one-step sampler draw one block per call and use the twin. The kernel's
-``empirical_vs_exact`` checks the bulk sampler against the exact kernel
-rows; the stack algorithm, checked the same way, is an oracle in the test
-suite (``tests/_oracles.py``).
+the plus-component count c predicts, and the rest only if none of those
+states is aligned, in chunks of ``HIT_STEP_CHUNK`` states.
+``wolff_step_many`` and the kernel's bulk one-step sampler draw one block per
+call and use the twin. The kernel's ``empirical_vs_exact`` checks the bulk
+sampler against the exact kernel rows; the stack algorithm, checked the same
+way, is an oracle in the test suite (``tests/_oracles.py``).
 
 Glauber paths read one heat-bath table, ``_glauber_flip_probs``; chains draw
 sites, then uniforms, in the Wolff blocks, turn each block's uniforms into
@@ -388,6 +388,10 @@ def run_chain(initial: InitialLaw, steps: int, kind: str, params: ModelParams, r
     return Trajectory(states=np.fromiter(chain, dtype=np.uint64, count=steps))
 
 
+#: ``hitting_time_aligned`` steps its pre-drawn block at most this many states per call.
+HIT_STEP_CHUNK = 64
+
+
 def hitting_time_aligned(initial: Configuration, rng) -> int:
     """First 1-based index k with Y_k fully aligned, for the critical-point chain.
 
@@ -398,10 +402,12 @@ def hitting_time_aligned(initial: Configuration, rng) -> int:
     draws a chain of n + 2 states: n + 1 seeds, then n + 1 right and n + 1
     left uniforms. At 'inf' the bond probability is 1, so both extensions are
     the cap n and the uniforms are drawn unread, which keeps a caller's
-    generator in step with the chain's. The first c draws are stepped in one
-    ``_wolff_arc_block`` call, and the rest of the block only if none of
-    those states is aligned, so the index returned is the one the chain
-    reaches, not the one predicted. An aligned start draws nothing.
+    generator in step with the chain's. The first c draws, then the rest, are
+    stepped by ``_wolff_arc_block`` in chunks of at most ``HIT_STEP_CHUNK``
+    (at n <= 64 the first c in one call), and stepping stops at the first
+    aligned state, so the index returned is the one the chain reaches, not
+    the one predicted, and at most one chunk of states is held. An aligned
+    start draws nothing.
     """
     gen = as_generator(rng)
     n = initial.n
@@ -411,9 +417,10 @@ def hitting_time_aligned(initial: Configuration, rng) -> int:
         return 1
     seeds = gen.integers(0, n, size=n + 1).tolist()
     gen.random(2 * (n + 1))  # the right, then the left uniforms, unread
-    caps = [n] * (n + 1)
+    caps = [n] * HIT_STEP_CHUNK
     predicted = plus_component_count(bits, n)
-    for lo, hi in ((0, predicted), (predicted, n + 1)):
+    cuts = [*range(0, predicted, HIT_STEP_CHUNK), *range(predicted, n + 1, HIT_STEP_CHUNK), n + 1]
+    for lo, hi in zip(cuts, cuts[1:]):
         for k, bits in enumerate(_wolff_arc_block(bits, seeds[lo:hi], caps, caps, n), start=lo + 2):
             if bits == 0 or bits == full:
                 return k

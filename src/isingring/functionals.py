@@ -339,6 +339,23 @@ def ratio_ascent_adversary(
     return best_vec
 
 
+#: ``certification_sweep`` draws and certifies the random family this many rows at a time.
+CERTIFY_BLOCK = 256
+
+
+def _batch_reports(family: str, fs: np.ndarray, kernel: TransitionKernel, measure: GibbsMeasure,
+                   c_ls: float, c_pi: float) -> list:
+    """LSI and Poincare reports for each row of ``fs``, in row order."""
+    energies = dirichlet_form_batch(fs, kernel, measure)
+    ent = entropy_batch(fs**2, measure)
+    var = variance_batch(fs, measure)
+    results = []
+    for k in range(fs.shape[0]):
+        results.append(InequalityReport(family, "lsi", float(ent[k]), float(c_ls * energies[k])))
+        results.append(InequalityReport(family, "poincare", float(var[k]), float(c_pi * energies[k])))
+    return results
+
+
 def certification_sweep(
     kernel: TransitionKernel,
     measure: GibbsMeasure,
@@ -348,10 +365,13 @@ def certification_sweep(
 ) -> list:
     """Certify the LSI and Poincare inequalities on random, structured and adversarial functions.
 
-    Random functions have i.i.d. standard normal components; the two
-    ratio-ascent adversaries (one per inequality) draw from ``rng`` after
-    them. The sweep is vectorized (quadratic-form Dirichlet energies).
-    Returns InequalityReport rows.
+    Random functions have i.i.d. standard normal components, drawn and
+    certified ``CERTIFY_BLOCK`` rows at a time (the last block up to one row
+    more): the rows and their reports are those of one (n_random, 2^N) draw,
+    and no array grows with ``n_random``. The two ratio-ascent adversaries (one per inequality) draw
+    from ``rng`` after them. Each block is vectorized (quadratic-form
+    Dirichlet energies). Returns InequalityReport rows: random, structured,
+    then adversarial.
     """
     gen = as_generator(rng)
     j_hat = kernel.params.require_finite("certification_sweep")
@@ -359,21 +379,20 @@ def certification_sweep(
     c_ls = lsi_constant_bound(j_hat, n)
     c_pi = poincare_constant_bound(j_hat, n)
 
-    batches = [("random", gen.standard_normal((n_random, kernel.size)))]
-    structured = structured_test_functions(decomposition, n)
-    for family, vec in structured:
-        batches.append((family, vec[None, :]))
+    results = []
+    done = 0
+    while done < n_random:
+        # a last block of one row would be summed by numpy's dot, not gemv as in one
+        # whole draw, so the block before it takes that row
+        rows = n_random - done if n_random - done <= CERTIFY_BLOCK + 1 else CERTIFY_BLOCK
+        fs = gen.standard_normal((rows, kernel.size))
+        results += _batch_reports("random", fs, kernel, measure, c_ls, c_pi)
+        done += rows
+    batches = [(family, vec[None, :]) for family, vec in structured_test_functions(decomposition, n)]
     adv = ratio_ascent_adversary(kernel, measure, gen, target="lsi", restarts=20, sweeps=30)
     batches.append(("adversarial", adv[None, :]))
     adv_p = ratio_ascent_adversary(kernel, measure, gen, target="poincare", restarts=20, sweeps=30)
     batches.append(("adversarial", adv_p[None, :]))
-
-    results = []
     for family, fs in batches:
-        energies = dirichlet_form_batch(fs, kernel, measure)
-        ent = entropy_batch(fs**2, measure)
-        var = variance_batch(fs, measure)
-        for k in range(fs.shape[0]):
-            results.append(InequalityReport(family, "lsi", float(ent[k]), float(c_ls * energies[k])))
-            results.append(InequalityReport(family, "poincare", float(var[k]), float(c_pi * energies[k])))
+        results += _batch_reports(family, fs, kernel, measure, c_ls, c_pi)
     return results

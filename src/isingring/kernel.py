@@ -315,27 +315,55 @@ class SpectralDecomposition:
 
 
 def symmetrize_and_decompose(kernel: TransitionKernel, measure: GibbsMeasure) -> SpectralDecomposition:
-    """Full spectrum of the mu-symmetrized kernel D^{1/2} P D^{-1/2}.
+    """Full spectrum of the mu-symmetrized kernel, one global-flip sector at a time.
 
-    Requires reversibility (checked first, to 1e-10). Ties in the descending
-    eigenvalue order are broken by ascending index; degenerate eigenspaces
-    should be compared as eigenvalue multisets, never via eigenvector identity.
+    Requires reversibility (checked first, to 1e-10) and invariance under the
+    global flip x -> x ^ (2^N - 1), which reverses the state index: the rows
+    of T = D^{1/2} P D^{-1/2} must match their flipped twins, reversed, to
+    1e-12. Either failure raises ValueError. Write T = [[A, B], [JBJ, JAJ]]
+    with h = 2^(N-1), J the h x h index reversal and sym(M) = (M + M^T)/2.
+    The symmetric part sym(T) then has the flip-even eigenvectors
+    [u; u[::-1]] / sqrt 2 for the eigenvectors u of sym(A + BJ), and the
+    flip-odd ones [u; -u[::-1]] / sqrt 2 for those of sym(A - BJ); each
+    sector takes one dense ``eigh`` of side h (BJ is ``B[:, ::-1]``).
+
+    Ties in the descending eigenvalue order put flip-even eigenfunctions
+    before flip-odd ones, and keep ``eigh``'s ascending index within a
+    sector; degenerate eigenspaces should be compared as eigenvalue
+    multisets, never via eigenvector identity.
     """
     violation = check_detailed_balance(kernel, measure)
     if violation > 1e-10:
         raise ValueError(f"kernel is not reversible for this measure (violation {violation:.3e})")
+    size = kernel.size
+    half = size // 2
     root = np.sqrt(measure.probabilities)
-    sym = kernel.matrix * (root[:, None] / root[None, :])
-    sym = 0.5 * (sym + sym.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
+    scaled = np.divide.outer(root, root)
+    scaled *= kernel.matrix
+    asymmetry = max(float(np.abs(scaled[row] - scaled[-1 - row, ::-1]).max()) for row in range(half))
+    if asymmetry > 1e-12:
+        raise ValueError(f"kernel is not invariant under the global spin flip (violation {asymmetry:.3e})")
+    corner, cross = scaled[:half, :half], scaled[:half, half:][:, ::-1]
+    sectors = []
+    for combine in (np.add, np.subtract):
+        block = combine(corner, cross)
+        block += block.T
+        block *= 0.5
+        sectors.append(np.linalg.eigh(block))
+    del scaled, corner, cross, block  # freed before the basis is allocated
+    eigvals = np.concatenate([values for values, _ in sectors])
     order = np.argsort(-eigvals, kind="stable")
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    basis = eigvecs / root[:, None]
+    column = np.empty(size, dtype=np.int64)
+    column[order] = np.arange(size)
+    basis = np.empty((size, size))
+    for (_, vectors), sign, cols in zip(sectors, (1.0, -1.0), (column[:half], column[half:])):
+        basis[:half, cols] = vectors
+        basis[half:, cols] = sign * vectors[::-1]
+    basis *= np.sqrt(0.5) / root[:, None]
     # orient the top eigenfunction as the constant +1
     if basis[0, 0] < 0:
         basis[:, 0] = -basis[:, 0]
-    return SpectralDecomposition(eigenvalues=eigvals, basis=basis)
+    return SpectralDecomposition(eigenvalues=eigvals[order], basis=basis)
 
 
 Z_MAX = 4.0

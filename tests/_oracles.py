@@ -5,17 +5,18 @@ enumeration and no shared code with the package internals, so oracle
 agreement is meaningful. The exceptions are ``full_ratio_ascent_adversary``,
 which checks how the package's search scores its moves, not the functionals
 it scores them with, ``per_step_chain_bits``, the package's chain
-arithmetic before its block loops, and ``per_state_simulate_sums``, the
-simulate command's sums before its uint64 blocks; these two check the
-package bit for bit.
+arithmetic before its block loops, ``per_state_simulate_sums``, the
+simulate command's sums before its uint64 blocks, and
+``whole_batch_certification_sweep``, the certification sweep before its row
+blocks; these three check the package bit for bit.
 
 The reference forms at the end of the module (stored-ensemble covariance,
 the stack Wolff step and its one-step counts, the single-function variance,
 the susceptibility row sum, the component form of the Glauber flip
 probability, the brute-force partition function, the covariance dump
-reader) were once part of the package and only the tests read them; they
-use the package's data types and, where they say so, its enumeration
-helpers.
+reader, the dense spectral decomposition) were once part of the package
+and only the tests read them; they use the package's data types and, where
+they say so, its enumeration helpers.
 """
 
 import itertools
@@ -506,3 +507,62 @@ def read_matrix_dump(path):
     if side != n:
         raise ValueError(f"dump matrix side {side} is not n={n}")
     return n, j_hat, data.reshape(side, side).copy()
+
+
+def dense_symmetrize_and_decompose(kernel, measure):
+    """``kernel.symmetrize_and_decompose`` before its flip sectors: one dense ``eigh`` of side 2^N.
+
+    Returns the package's ``SpectralDecomposition``, eigenvalues descending
+    (ties by ascending ``eigh`` index), with no reversibility or flip check.
+    """
+    from isingring.kernel import SpectralDecomposition
+
+    root = np.sqrt(measure.probabilities)
+    sym = kernel.matrix * (root[:, None] / root[None, :])
+    sym = 0.5 * (sym + sym.T)
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    order = np.argsort(-eigvals, kind="stable")
+    basis = eigvecs[:, order] / root[:, None]
+    if basis[0, 0] < 0:
+        basis[:, 0] = -basis[:, 0]
+    return SpectralDecomposition(eigenvalues=eigvals[order], basis=basis)
+
+
+def whole_batch_certification_sweep(kernel, measure, decomposition, n_random, rng):
+    """``functionals.certification_sweep`` before its row blocks: the random family in one draw.
+
+    Draws one (n_random, 2^N) normal array, then the two adversaries, and
+    scores every batch with the package's batch functionals, so the reports
+    must equal the package's bit for bit.
+    """
+    from isingring.functionals import (
+        InequalityReport,
+        dirichlet_form_batch,
+        entropy_batch,
+        lsi_constant_bound,
+        poincare_constant_bound,
+        ratio_ascent_adversary,
+        structured_test_functions,
+        variance_batch,
+    )
+    from isingring.randomness import as_generator
+
+    gen = as_generator(rng)
+    j_hat = kernel.params.require_finite("whole_batch_certification_sweep")
+    c_ls = lsi_constant_bound(j_hat, kernel.n)
+    c_pi = poincare_constant_bound(j_hat, kernel.n)
+    batches = [("random", gen.standard_normal((n_random, kernel.size)))]
+    for family, vec in structured_test_functions(decomposition, kernel.n):
+        batches.append((family, vec[None, :]))
+    for target in ("lsi", "poincare"):
+        adv = ratio_ascent_adversary(kernel, measure, gen, target=target, restarts=20, sweeps=30)
+        batches.append(("adversarial", adv[None, :]))
+    results = []
+    for family, fs in batches:
+        energies = dirichlet_form_batch(fs, kernel, measure)
+        ent = entropy_batch(fs**2, measure)
+        var = variance_batch(fs, measure)
+        for k in range(fs.shape[0]):
+            results.append(InequalityReport(family, "lsi", float(ent[k]), float(c_ls * energies[k])))
+            results.append(InequalityReport(family, "poincare", float(var[k]), float(c_pi * energies[k])))
+    return results

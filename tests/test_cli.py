@@ -12,14 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from isingring import INFINITE, InitialLaw, ModelParams, RngStream, __version__, iter_chain
 from isingring.cli import RunConfig, _ergodic_sums, main, parse_config, parse_j_hat, UsageError
-from isingring.dynamics import CHAIN_DRAW_BLOCK, STORAGE_BUDGET
+from isingring.clusters import plus_component_count
+from isingring.dynamics import CHAIN_DRAW_BLOCK, STORAGE_BUDGET, _uniform_states
 
 import _oracles as oracle
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
-#: The largest rings hitting (one block of n + 1 states of n bits) and simulate
-#: (one draw block of n-bit states) accept within the storage budget.
+#: The largest rings hitting (n + 1 states of n bits, one replica's steps) and
+#: simulate (one draw block of n-bit states) accept within the storage budget.
 LARGEST_HITTING_N = 46340
 LARGEST_SIMULATE_N = 8 * STORAGE_BUDGET // CHAIN_DRAW_BLOCK
 
@@ -323,8 +324,18 @@ class TestExitCodes:
         rows = [line.split(",") for line in (tmp_path / "hitting.csv").read_text().splitlines()[1:-2]]
         assert rows and all(row[4] == "0" for row in rows)
 
+    def test_hitting_starts_cross_a_draw_block(self, tmp_path):
+        # starts come CHAIN_DRAW_BLOCK at a time from stream 0, as one draw of --count would give them
+        n, count, seed = 40, CHAIN_DRAW_BLOCK + 100, 3
+        assert main(["hitting", "--n", str(n), "--count", str(count), "--seed", str(seed), "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "hitting.csv").read_text().splitlines()[1:-2]]
+        starts = _uniform_states(n, count, RngStream(seed).generator())
+        assert [int(row[1]) for row in rows] == list(range(count))
+        assert [int(row[2]) for row in rows] == [plus_component_count(bits, n) for bits in starts]
+        assert all(row[4] == "1" for row in rows)
+
     def test_hitting_at_the_largest_ring(self, tmp_path):
-        # starts of 725 words; a replica's steps hold about n/4 states of n bits (about 70 MB)
+        # starts of 725 words; a replica steps HIT_STEP_CHUNK states of n bits at a time
         n = str(LARGEST_HITTING_N)
         assert main(["hitting", "--n", n, "--count", "2", "--out", str(tmp_path)]) == 0
         rows = [line.split(",") for line in (tmp_path / "hitting.csv").read_text().splitlines()[1:-2]]
@@ -503,29 +514,32 @@ def test_module_entry_point(tmp_path):
 
 
 # sha256 of lsi-verify.csv without its "# version=" line, written by version
-# 0.4.0 and unchanged through GOLDEN_VERSION. A change to the arithmetic of the
-# certification sweep or its adversary moves them: bump the version, then
-# renew GOLDEN_VERSION and the hashes together.
-GOLDEN_VERSION = "0.6.0"
+# 0.7.0, whose flip-sector decomposition changed the eigenvectors of degenerate
+# eigenspaces, so the eigenfunction, abs-eigenfunction and poincare-vs-gap rows;
+# the random, character, indicator and adversarial rows are those of 0.4.0. A
+# change to the arithmetic of the certification sweep, its adversary or the
+# decomposition moves them: bump the version, then renew GOLDEN_VERSION and the
+# hashes together.
+GOLDEN_VERSION = "0.7.0"
 GOLDEN_LSI_VERIFY = [
     (["--n", "8", "--j-hat", "1.0", "--functions", "200"], 0,
-     "569cf1f61597448cfbcc8348cecab90580decd25c62273955fbcc8d3e1dcf0c3"),
+     "649f3af4289e81d383ce8f89c1edf8583ee5d5258aec70c258f91f9368cffa5e"),
     (["--n", "8", "--j-hat", "1.0", "--functions", "200"], 7,
-     "a81a99b44b08f095bd28f5939c64d2d824fc7206d41edd2639181b3d8ea6aa96"),
+     "be5d9cf5d464979dc7ed302c1dfc6684ed959e049d26fe269f0a933de73ff7ae"),
     (["--n", "10", "--j-hat", "0.5", "--functions", "2000"], 0,
-     "22f3ba79c965dec49955199a88528cf4e14c07121edaa1b28fcc92c114e92e3d"),
+     "6cf73aa019fa9b890dac0b93cf954feb03db275cae1b2c79f76518dccd18f4d4"),
     (["--n", "10", "--j-hat", "0.5", "--functions", "2000"], 7,
-     "bd744e5f630ca1bd4a5ea82aa59b3820a0849a12321b30895c5ec46fa97e6f23"),
+     "b040b6f330461b35e0375c9d865f1efad978c4e48452ea09ff40b8daad1ca8f8"),
 ]
 
 
 # The chain commands at sizes that cross a draw block (4096 steps) and, for
 # spectra (batches of 8500 states), an accumulate block (8192 states): sha256
 # of the CSV without its "# version=" line and the exit code. Any change to
-# the chains' draws or arithmetic moves them. Version 0.6.0 wrote the
-# commands with a stationary start (sweep, simulate), a uniform start at
-# n <= 32 (spectra, hitting at n = 2 and 3) or past 63 sites; the rest are
-# the files of version 0.5.0. sweep exits 1 at seed 0 through pass_42 at n = 16,
+# the chains' draws or arithmetic moves them; version 0.7.0 kept them all.
+# Version 0.6.0 wrote the commands with a stationary start (sweep, simulate),
+# a uniform start at n <= 32 (spectra, hitting at n = 2 and 3) or past 63
+# sites; the rest are the files of version 0.5.0. sweep exits 1 at seed 0 through pass_42 at n = 16,
 # as the default sweep and the benchmark's sweep do.
 GOLDEN_CHAIN_COMMANDS = [
     (["sweep", "--j-hat", "0.5", "--n-list", "16,24"], 0, 1,

@@ -30,9 +30,11 @@ from isingring import (
 from isingring import dynamics
 from isingring.dynamics import (
     CHAIN_DRAW_BLOCK,
+    HIT_STEP_CHUNK,
     _arc_draws,
     _chain_bits,
     _glauber_flip_probs,
+    _uniform_states,
     _wolff_arc_block,
 )
 from isingring.functionals import lsi_constant_bound
@@ -262,6 +264,32 @@ class TestHitting:
             state, twin_state = gen.bit_generator.state, twin.bit_generator.state
             assert state["state"]["counter"].tolist() == twin_state["state"]["counter"].tolist()
             assert (state["buffer_pos"], state["has_uint32"]) == (twin_state["buffer_pos"], twin_state["has_uint32"])
+            assert gen.random() == twin.random()
+
+    @pytest.mark.parametrize("n", [6, 48, 64, 300])
+    def test_steps_come_in_chunks_and_stop_at_the_hit(self, monkeypatch, n):
+        # at most HIT_STEP_CHUNK states per call, the predicted ctilde in the first call at n <= 64,
+        # no step past the first aligned state, and the block of n + 1 steps drawn whole
+        calls = []
+
+        def recording_block(bits, seeds, g_rights, g_lefts, n):
+            calls.append(len(seeds))
+            return _wolff_arc_block(bits, seeds, g_rights, g_lefts, n)
+
+        monkeypatch.setattr(dynamics, "_wolff_arc_block", recording_block)
+        for s in range(20):
+            # site 1 down and site n up: never aligned
+            bits = _uniform_states(n, 1, RngStream(23, s).generator())[0] & ~1 | 1 << (n - 1)
+            ctilde = decompose(Configuration(bits, n)).plus_count
+            gen, twin = RngStream(23, 100 + s).generator(), RngStream(23, 100 + s).generator()
+            calls.clear()
+            assert hitting_time_aligned(Configuration(bits, n), gen) == ctilde + 1
+            assert max(calls) <= HIT_STEP_CHUNK
+            assert sum(calls) == ctilde
+            if n <= 64:
+                assert calls == [ctilde]
+            twin.integers(0, n, size=n + 1)
+            twin.random(2 * (n + 1))
             assert gen.random() == twin.random()
 
     def test_post_hit_alternation(self):

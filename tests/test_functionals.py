@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from isingring import (
     two_point_correlation,
 )
 from isingring.functionals import (
+    CERTIFY_BLOCK,
     _moved_sums,
     _pair_weights,
     _score_sums,
@@ -271,6 +273,40 @@ class TestCertification:
         assert all(r.passed for r in results)
         families = {r.family for r in results}
         assert {"random", "character", "indicator", "eigenfunction", "abs-eigenfunction", "adversarial"} <= families
+
+    @pytest.mark.parametrize("n_random", [1, 257, 300, 513])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_row_blocks_match_one_whole_batch(self, setup_n6, seed, n_random):
+        # no size is a multiple of CERTIFY_BLOCK; 257 and 513 leave one row past a block
+        _, kernel, measure = setup_n6
+        assert n_random % CERTIFY_BLOCK
+        dec = symmetrize_and_decompose(kernel, measure)
+        blocks = certification_sweep(kernel, measure, dec, n_random, RngStream(seed))
+        whole = oracle.whole_batch_certification_sweep(kernel, measure, dec, n_random, RngStream(seed))
+        assert blocks == whole
+
+    def test_working_memory_does_not_grow_with_the_family(self):
+        # peak above the memory the returned reports hold: the random family's temporaries
+        params = ModelParams(8, 0.5)
+        kernel = build_wolff_kernel(params)
+        measure = gibbs_measure(params)
+        dec = symmetrize_and_decompose(kernel, measure)
+        certification_sweep(kernel, measure, dec, 1, RngStream(0))  # warm caches
+
+        def working_peak(n_random):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                results = certification_sweep(kernel, measure, dec, n_random, RngStream(0))
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(results) == 2 * (n_random + 13)
+            return (peak - kept) / 2**20, (kept - before) / 2**20
+
+        small, _ = working_peak(256)
+        large, kept = working_peak(4096)
+        assert abs(large - small) < 1.0, (small, large, kept)
 
     def test_glauber_kernel_certifies_too(self):
         # the explicit constants bound the Wolff form, but certification is

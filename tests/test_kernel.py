@@ -384,6 +384,67 @@ class TestSpectralDecomposition:
             symmetrize_and_decompose(TransitionKernel(params=p, kind="wolff", matrix=doctored), mu)
 
 
+def _swap_mixture(p, pairs, delta=0.1):
+    """(1 - delta) P_Wolff + delta Q, with Q the permutation swapping each pair of states.
+
+    Pairs of equal Gibbs weight keep the mixture reversible.
+    """
+    swap = np.eye(1 << p.n)
+    for x, y in pairs:
+        swap[[x, y]] = swap[[y, x]]
+    return TransitionKernel(params=p, kind="wolff", matrix=(1 - delta) * build_wolff_kernel(p).matrix + delta * swap)
+
+
+class TestFlipSectors:
+    @pytest.mark.parametrize("builder", [build_wolff_kernel, build_glauber_kernel], ids=["wolff", "glauber"])
+    @pytest.mark.parametrize("j", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 10])
+    def test_sectors_match_the_dense_decomposition(self, n, j, builder):
+        p = ModelParams(n, j)
+        mu = gibbs_measure(p)
+        kernel = builder(p)
+        dec = symmetrize_and_decompose(kernel, mu)
+        dense = oracle.dense_symmetrize_and_decompose(kernel, mu)
+        np.testing.assert_allclose(dec.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-13)
+        assert np.all(np.diff(dec.eigenvalues) <= 0.0)
+        # in the L^2(mu) frame phi = D^{1/2} xi, where rounding is not scaled by 1/sqrt(mu)
+        root = np.sqrt(mu.probabilities)
+        phi = dec.basis * root[:, None]
+        np.testing.assert_allclose(phi.T @ phi, np.eye(kernel.size), rtol=0, atol=1e-12)
+        rebuilt = (phi * dec.eigenvalues[None, :]) @ phi.T
+        np.testing.assert_allclose(rebuilt, kernel.matrix * (root[:, None] / root[None, :]), rtol=0, atol=1e-12)
+        # the first eigenfunction is the constant 1, in L^2(mu)
+        assert math.sqrt(float((dec.basis[:, 0] - 1.0) ** 2 @ mu.probabilities)) <= 1e-12
+
+    def test_each_eigenfunction_is_flip_even_or_odd(self):
+        p = ModelParams(6, 0.5)
+        dec = symmetrize_and_decompose(build_wolff_kernel(p), gibbs_measure(p))
+        flipped = dec.basis[::-1]
+        even = np.all(np.abs(flipped - dec.basis) <= 1e-12, axis=0)
+        odd = np.all(np.abs(flipped + dec.basis) <= 1e-12, axis=0)
+        assert np.all(even ^ odd)
+        assert even.sum() == odd.sum() == 32
+        assert even[0]
+
+    def test_reversible_kernel_that_breaks_the_flip_is_rejected(self):
+        # states 0b0001 and 0b0010 carry two domain walls each, so equal weight;
+        # swapping them without their flips keeps detailed balance, not flip symmetry
+        p = ModelParams(4, 0.5)
+        mu = gibbs_measure(p)
+        bad = _swap_mixture(p, [(0b0001, 0b0010)])
+        assert check_detailed_balance(bad, mu) <= 1e-15
+        with pytest.raises(ValueError, match="global spin flip"):
+            symmetrize_and_decompose(bad, mu)
+
+    def test_swap_with_its_flipped_twin_is_decomposed(self):
+        p = ModelParams(4, 0.5)
+        mu = gibbs_measure(p)
+        good = _swap_mixture(p, [(0b0001, 0b0010), (0b1110, 0b1101)])
+        dec = symmetrize_and_decompose(good, mu)
+        dense = oracle.dense_symmetrize_and_decompose(good, mu)
+        np.testing.assert_allclose(dec.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-13)
+
+
 class TestEmpirical:
     def test_bulk_matches_batch_stepper_draw_for_draw(self):
         from isingring.dynamics import decode_states, encode_spins, wolff_step_many

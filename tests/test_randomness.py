@@ -6,7 +6,7 @@ changing CSV bytes."""
 import numpy as np
 import pytest
 
-from isingring.dynamics import _uniform_states
+from isingring.dynamics import CHAIN_DRAW_BLOCK, _uniform_states
 from isingring.randomness import RngStream, _spawn_keys, keyed_generators
 
 #: Multi-word seeds (2^32 + 1 is two entropy words, 2^64 + 3 three) hash differently from one-word ones.
@@ -50,6 +50,17 @@ def test_batched_uniform_starts_equal_scalar_draws(seed, n):
     batched = _uniform_states(n, 300, RngStream(seed).generator())
     gen = RngStream(seed).generator()
     assert batched == [_uniform_states(n, 1, gen)[0] for _ in range(300)]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", [2, 8, 32, 48, 63, 64, 100, 200])
+def test_uniform_states_in_blocks_equal_one_draw(seed, n):
+    # hitting draws its starts CHAIN_DRAW_BLOCK at a time
+    count = 10000
+    gen = RngStream(seed).generator()
+    blocks = [bits for lo in range(0, count, CHAIN_DRAW_BLOCK)
+              for bits in _uniform_states(n, min(CHAIN_DRAW_BLOCK, count - lo), gen)]
+    assert blocks == _uniform_states(n, count, RngStream(seed).generator())
 
 
 @pytest.mark.parametrize("seed", [0, 7])
