@@ -37,8 +37,8 @@ for _ in range(5):
 print("  (the hit index is deterministic: one component pair merges per step)")
 print()
 
-traj = run_chain(InitialLaw.all_plus(), 6, WOLFF, params, RngStream(1))
-print("from all-plus the chain alternates:", ["+1" if b else "-1" for b in (traj.states == traj.states[0])])
+states = run_chain(InitialLaw.all_plus(), 6, WOLFF, params, RngStream(1))
+print("from all-plus the chain alternates:", ["+1" if b else "-1" for b in (states == states[0])])
 print()
 
 print("covariance condensation: lambda_1 -> 1 as the sample count grows")

@@ -32,16 +32,12 @@ from .dynamics import (
     GLAUBER,
     WOLFF,
     InitialLaw,
-    Trajectory,
     decode_states,
-    encode_spins,
-    glauber_step_many,
     hitting_time_aligned,
     iter_chain,
     run_chain,
     sample_stationary,
     sample_stationary_many,
-    wolff_step_many,
 )
 from .kernel import (
     EmpiricalCheck,
@@ -51,7 +47,6 @@ from .kernel import (
     build_wolff_kernel,
     check_detailed_balance,
     empirical_vs_exact,
-    glauber_flip_probability,
     symmetrize_and_decompose,
     wolff_dual_form_disagreement,
     wolff_entry_from_boundary,

@@ -497,18 +497,22 @@ def _cmd_lsi_verify(config: RunConfig) -> int:
     kernel = build_wolff_kernel(params)
     decomposition = symmetrize_and_decompose(kernel, measure)
     results = certification_sweep(kernel, measure, decomposition, config.functions, RngStream(config.seed))
-    rows = []
-    worst_slack = math.inf
-    fails = 0
-    for r in results:
-        worst_slack = min(worst_slack, r.slack)
-        fails += 0 if r.passed else 1
-        rows.append([str(params.n), _fmt(params.j_hat), f"{r.family}/{r.kind}", _fmt(r.lhs), _fmt(r.rhs), _fmt(r.slack), str(int(r.passed))])
     gap = decomposition.gap
     c_pi = poincare_constant_bound(float(params.j_hat), params.n)
     spectral_ok = 1.0 / gap <= c_pi * (1.0 + 1e-9)
-    rows.append([str(params.n), _fmt(params.j_hat), "spectrum/poincare-vs-gap", _fmt(1.0 / gap), _fmt(c_pi), _fmt(c_pi - 1.0 / gap), str(int(spectral_ok))])
-    write_csv(os.path.join(config.out, "lsi-verify.csv"), ["n", "j_hat", "family", "lhs", "rhs", "slack", "pass"], rows, config)
+    worst_slack = math.inf
+    fails = 0
+
+    def rows():
+        # streamed into the CSV: the worst slack and the fail count are kept as the rows go
+        nonlocal worst_slack, fails
+        for r in results:
+            worst_slack = min(worst_slack, r.slack)
+            fails += 0 if r.passed else 1
+            yield [str(params.n), _fmt(params.j_hat), f"{r.family}/{r.kind}", _fmt(r.lhs), _fmt(r.rhs), _fmt(r.slack), str(int(r.passed))]
+        yield [str(params.n), _fmt(params.j_hat), "spectrum/poincare-vs-gap", _fmt(1.0 / gap), _fmt(c_pi), _fmt(c_pi - 1.0 / gap), str(int(spectral_ok))]
+
+    write_csv(os.path.join(config.out, "lsi-verify.csv"), ["n", "j_hat", "family", "lhs", "rhs", "slack", "pass"], rows(), config)
     passed = fails == 0 and spectral_ok
     print(f"lsi-verify n={params.n} j={float(params.j_hat)!r}: {len(results)} certifications, "
           f"worst slack {worst_slack:.3e}, 1/gap={1.0/gap:.4f} <= C_PI={c_pi:.4f}: {'PASS' if passed else 'FAIL'}")
@@ -609,10 +613,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(argv)
         return run(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except CriticalCouplingError as exc:
+    except (UsageError, CriticalCouplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ResourceLimitError as exc:

@@ -1,12 +1,13 @@
 """Stochastic samplers for the ring: Wolff cluster updates, Glauber heat-bath
 updates, chain runners, exact stationary sampling, and critical-point hitting
-times.
+times. Every sampler takes and returns bit-packed states (bit b is site b+1).
 
 Starting laws, one draw each at any n: a uniform state is a row of one
 (count, ceil(n/64)) block of full-range uint64 words, most significant first
 and the first cut to its top bits (``_uniform_states``); Gibbs states take one
 (pending, n + 1) block of uniforms per attempt, and the rows with an odd
 domain-wall count are redrawn, in row order (``sample_stationary_many``).
+Both return n-bit ints.
 
 Every Wolff update comes from one arc-law engine. On the ring a Wolff
 cluster is an arc, and the stack growth is equivalent to truncated-geometric
@@ -21,19 +22,20 @@ of up to ``CHAIN_DRAW_BLOCK`` steps at a time and step it in one tight loop;
 ``hitting_time_aligned`` draws one block of n + 1 steps, steps the c merges
 the plus-component count c predicts, and the rest only if none of those
 states is aligned, in chunks of ``HIT_STEP_CHUNK`` states.
-``wolff_step_many`` and the kernel's bulk one-step sampler draw one block per
-call and use the twin. The kernel's ``empirical_vs_exact`` checks the bulk
-sampler against the exact kernel rows; the stack algorithm, checked the same
-way, is an oracle in the test suite (``tests/_oracles.py``).
+The kernel's bulk one-step sampler draws one block per call and uses the
+twin. The kernel's ``empirical_vs_exact`` checks the bulk sampler against
+the exact kernel rows; the stack algorithm, checked the same way, is an
+oracle in the test suite (``tests/_oracles.py``).
 
 Glauber paths read one heat-bath table, ``_glauber_flip_probs``; chains draw
 sites, then uniforms, in the Wolff blocks, turn each block's uniforms into
 flip thresholds in numpy (``_glauber_keys``) and step the block in one tight
-loop on the frustrated-bond mask (``_glauber_block``). ``glauber_step_many``
-steps many independent rows once each.
+loop on the doubled frustrated-bond mask (``_doubled_bonds``,
+``_glauber_block``). The kernel's bulk one-step sampler reads the same keys
+and ``_GLAUBER_FLIPS`` table on the same mask.
 
 ``iter_chain`` streams a chain of either dynamics as bit-packed ints, with no
-``Configuration`` per state.
+``Configuration`` per state; ``run_chain`` stores one as a uint64 array.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ _GLAUBER_FLIPS = (
 )
 
 
-def _glauber_keys(us: np.ndarray, flip_probs: np.ndarray) -> list:
+def _glauber_keys(us: np.ndarray, flip_probs: np.ndarray) -> np.ndarray:
     """Row offsets 4t into ``_GLAUBER_FLIPS``, t = (u < p0) + (u < p1) + (u < p2) per uniform u.
 
     For j >= 0 the flip probability does not increase with the aligned count
@@ -96,22 +98,30 @@ def _glauber_keys(us: np.ndarray, flip_probs: np.ndarray) -> list:
     heat-bath rule, made once per block in numpy.
     """
     t = (us < flip_probs[0]).astype(np.int64) + (us < flip_probs[1]) + (us < flip_probs[2])
-    return (t << 2).tolist()
+    return t << 2
+
+
+def _doubled_bonds(bits, n: int):
+    """The frustrated-bond mask with bond n-1 repeated below bond 0: bit k holds bond k-1 mod n, k = 0..n.
+
+    Site i's left and right bonds are then bits i and i+1, the column
+    ``(mask >> i) & 3`` of ``_GLAUBER_FLIPS``. Takes a Python int or an
+    integer array, as ``_rotated_bits``.
+    """
+    bonds = bits ^ _rotated_bits(bits, n)
+    return (bonds << 1) | (bonds >> (n - 1))
 
 
 def _glauber_block(bits: int, sites, keys, n: int) -> list:
     """Heat-bath updates of 0-based ``sites`` with ``_glauber_keys`` ``keys``, in turn, from ``bits``.
 
     Returns the state after each update, for any n. The loop carries the
-    frustrated-bond mask with bond n-1 repeated below bond 0 (bit k holds
-    bond k-1 mod n, k = 0..n), so site i's left and right bonds are bits i
-    and i+1 and a flip toggles both with one shift; flipping site 0 or n-1
-    also toggles the other copy of bond n-1.
+    ``_doubled_bonds`` mask, so a flip toggles a site's two bonds with one
+    shift; flipping site 0 or n-1 also toggles the other copy of bond n-1.
     """
     top = n - 1
     high = 1 << n
-    bonds = bits ^ _rotated_bits(bits, n)
-    bonds = (bonds << 1) | (bonds >> top)
+    bonds = _doubled_bonds(bits, n)
     flips = _GLAUBER_FLIPS
     out = []
     append = out.append
@@ -219,36 +229,6 @@ def _arc_flip_masks(seeds, g_right, g_left, run_r, run_l, n: int) -> np.ndarray:
     return arc
 
 
-def wolff_step_many(spins: np.ndarray, params: ModelParams, gen: np.random.Generator) -> np.ndarray:
-    """One Wolff update applied independently to each row of a (chains, n) +-1 array, n <= 64."""
-    c, n = spins.shape
-    if n != params.n:
-        raise ValueError("spin array and params sizes differ")
-    if n > 64:
-        raise ValueError(f"n={n} exceeds 64: the batched arc law packs states into 64-bit words")
-    seeds, g_right, g_left = _arc_draws(gen, c, n, derived_constants(params).bond_prob)
-    run_r, run_l = _arc_runs(encode_spins(spins), seeds, n)
-    flips = decode_states(_arc_flip_masks(seeds, g_right, g_left, run_r, run_l, n), n) > 0
-    return np.where(flips, -spins, spins)
-
-
-def glauber_step_many(spins: np.ndarray, params: ModelParams, gen: np.random.Generator) -> np.ndarray:
-    """One Glauber update applied independently to each row of a (chains, n) +-1 array."""
-    flip_probs = _glauber_flip_probs(params.require_finite("glauber_step_many"))
-    c, n = spins.shape
-    if n != params.n:
-        raise ValueError("spin array and params sizes differ")
-    sites = gen.integers(0, n, size=c)
-    u = gen.random(c)
-    rows = np.arange(c)
-    s_i = spins[rows, sites]
-    aligned = (spins[rows, (sites - 1) % n] == s_i).astype(np.int64) + (spins[rows, (sites + 1) % n] == s_i)
-    out = spins.copy()
-    hit = u < flip_probs[aligned]
-    out[rows[hit], sites[hit]] = -out[rows[hit], sites[hit]]
-    return out
-
-
 @dataclass(frozen=True)
 class InitialLaw:
     """How Y_1 is drawn: a fixed configuration, an exact stationary sample,
@@ -305,26 +285,11 @@ def _uniform_states(n: int, count: int, gen: np.random.Generator) -> list:
     return [int.from_bytes(data[k : k + 8 * w], "big") for k in range(0, len(data), 8 * w)]
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """A stored chain Y_1..Y_M (bit-packed). Y_1 is the initial configuration."""
-
-    states: np.ndarray  # uint64 bits, length M
-
-
 def decode_states(states: np.ndarray, n: int) -> np.ndarray:
     """Bit-packed uint64 states -> (M, n) +-1 int8 matrix."""
     arr = np.asarray(states, dtype=np.uint64)
     bits = (arr[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1)
     return (2 * bits.astype(np.int8) - 1).astype(np.int8)
-
-
-def encode_spins(spins: np.ndarray) -> np.ndarray:
-    """(M, n) +-1 matrix -> bit-packed uint64 states."""
-    spins = np.asarray(spins)
-    n = spins.shape[1]
-    weights = (np.uint64(1) << np.arange(n, dtype=np.uint64))[None, :]
-    return ((spins > 0).astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
 
 
 def _chain_bits(bits: int, states: int, kind: str, params: ModelParams, gen: np.random.Generator) -> Iterator[int]:
@@ -334,9 +299,8 @@ def _chain_bits(bits: int, states: int, kind: str, params: ModelParams, gen: np.
     at the steps remaining, so a chain consumes exactly its own steps' draws.
     A block is drawn and stepped in one tight loop when the first of its
     states is asked for: Wolff blocks by ``_wolff_arc_block`` on ``_arc_draws``,
-    Glauber blocks by ``_glauber_block`` on sites, then uniforms, as
-    ``glauber_step_many``. The states come out of a list, so ``np.fromiter``
-    pulls them at C speed.
+    Glauber blocks by ``_glauber_block`` on sites, then uniforms. The states
+    come out of a list, so ``np.fromiter`` pulls them at C speed.
     """
     if kind not in (WOLFF, GLAUBER):
         raise ValueError(f"unknown dynamics kind {kind!r}")
@@ -352,7 +316,7 @@ def _chain_bits(bits: int, states: int, kind: str, params: ModelParams, gen: np.
             count = min(CHAIN_DRAW_BLOCK, states - 1 - done)
             if kind == GLAUBER:
                 sites = gen.integers(0, n, size=count).tolist()
-                block = _glauber_block(last, sites, _glauber_keys(gen.random(count), flip_probs), n)
+                block = _glauber_block(last, sites, _glauber_keys(gen.random(count), flip_probs).tolist(), n)
             else:
                 block = _wolff_arc_block(last, *(d.tolist() for d in _arc_draws(gen, count, n, bond_prob)), n)
             last = block[-1]
@@ -373,8 +337,8 @@ def iter_chain(initial: InitialLaw, steps: int, kind: str, params: ModelParams, 
     return _chain_bits(initial.sample(params, gen).bits, steps, kind, params, gen)
 
 
-def run_chain(initial: InitialLaw, steps: int, kind: str, params: ModelParams, rng) -> Trajectory:
-    """Run and store a chain. Deterministic given the RngStream; Y_1 is the initial draw."""
+def run_chain(initial: InitialLaw, steps: int, kind: str, params: ModelParams, rng) -> np.ndarray:
+    """Run and store a chain Y_1..Y_steps as a bit-packed uint64 array (n <= 64); Y_1 is the initial draw."""
     if params.n > 64:
         raise ResourceLimitError("stored trajectories are bit-packed in uint64 (n <= 64); use iter_chain")
     if steps * 8 > STORAGE_BUDGET:
@@ -385,7 +349,7 @@ def run_chain(initial: InitialLaw, steps: int, kind: str, params: ModelParams, r
         raise ValueError("steps must be >= 1")
     gen = as_generator(rng)
     chain = _chain_bits(initial.sample(params, gen).bits, steps, kind, params, gen)
-    return Trajectory(states=np.fromiter(chain, dtype=np.uint64, count=steps))
+    return np.fromiter(chain, dtype=np.uint64, count=steps)
 
 
 #: ``hitting_time_aligned`` steps its pre-drawn block at most this many states per call.
@@ -430,16 +394,17 @@ def hitting_time_aligned(initial: Configuration, rng) -> int:
 
 def sample_stationary(params: ModelParams, rng) -> Configuration:
     """One exact draw from the Gibbs measure: ``sample_stationary_many`` with count 1."""
-    return Configuration.from_spins(sample_stationary_many(params, 1, rng)[0].tolist())
+    return Configuration(sample_stationary_many(params, 1, rng)[0], params.n)
 
 
-def sample_stationary_many(params: ModelParams, count: int, rng) -> np.ndarray:
-    """Exact Gibbs draws, shape (count, n), +-1 int8, from s_1 and the walls w_k = [s_k != s_{k+1}].
+def sample_stationary_many(params: ModelParams, count: int, rng) -> list:
+    """``count`` exact Gibbs draws as n-bit ints, from s_1 and the walls w_k = [s_k != s_{k+1}].
 
     s_1 is fair and the n walls are i.i.d. with q = e^{-2J}/(1 + e^{-2J}), conditioned
     on an even count (met with probability (1 + tanh(J)^n)/2 >= 1/2). In a pending
     row, column 0 < 1/2 makes s_1 = -1 and column k < q sets w_k; the spins are s_1
-    flipped by the prefix XOR of w_1..w_{n-1}.
+    flipped by the prefix XOR of w_1..w_{n-1}, and bit b of a draw is set where
+    site b+1 is plus.
     """
     params.require_finite("sample_stationary_many")
     gen = as_generator(rng)
@@ -454,4 +419,6 @@ def sample_stationary_many(params: ModelParams, count: int, rng) -> np.ndarray:
         even = np.count_nonzero(marks[:, 1:], axis=1) % 2 == 0
         minus[pending[even]] = np.logical_xor.accumulate(marks[even, :n], axis=1)
         pending = pending[~even]
-    return np.where(minus, -1, 1).astype(np.int8)
+    data = np.packbits(~minus, axis=1, bitorder="little").tobytes()
+    w = -(-n // 8)
+    return [int.from_bytes(data[k : k + w], "little") for k in range(0, len(data), w)]

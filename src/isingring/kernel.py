@@ -32,8 +32,10 @@ over all 4^N state pairs.
 
 ``empirical_vs_exact`` checks a sampler against the kernel rows: one-step
 target counts from every start state, drawn by the uint64 arc-law twin of
-``dynamics`` (the package's one Wolff sampler) or the Glauber batch rule,
-scored as z-values per kept target and per pooled bucket.
+``dynamics`` (the package's one Wolff sampler) or by the Glauber chains'
+own flip keys and table, scored as z-values per kept target and per pooled
+bucket. ``build_glauber_kernel`` reads only the heat-bath probabilities, not
+the sampler's table.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ from .model import (
 )
 from .clusters import FlipSet, decompose, edge_boundary, is_connected, vertex_boundary
 from .dynamics import GLAUBER, WOLFF
-from .dynamics import _arc_draws, _arc_flip_masks, _arc_runs, _glauber_flip_probs
+from .dynamics import _GLAUBER_FLIPS, _arc_draws, _arc_flip_masks, _arc_runs
+from .dynamics import _doubled_bonds, _glauber_flip_probs, _glauber_keys
 from .randomness import as_generator
 
 
@@ -248,21 +251,6 @@ def wolff_dual_form_disagreement(kernel: TransitionKernel) -> float:
     return float(worst)
 
 
-def _check_site(config: Configuration, site: int, params: ModelParams):
-    if config.n != params.n:
-        raise ValueError("sizes of configuration and params differ")
-    if not 1 <= site <= params.n:
-        raise ValueError(f"site {site} out of range 1..{params.n}")
-
-
-def glauber_flip_probability(config: Configuration, site: int, params: ModelParams) -> float:
-    """Conditional flip probability of 1-based ``site`` (before the 1/N site choice)."""
-    flip_probs = _glauber_flip_probs(params.require_finite("glauber_flip_probability"))
-    _check_site(config, site, params)
-    s_i = config.spin(site)
-    return float(flip_probs[(config.spin(site - 1) == s_i) + (config.spin(site + 1) == s_i)])
-
-
 def build_glauber_kernel(params: ModelParams) -> TransitionKernel:
     """Assemble the exact heat-bath kernel; off-diagonal support is single flips."""
     flip_probs = _glauber_flip_probs(params.require_finite("build_glauber_kernel"))
@@ -396,11 +384,13 @@ def _one_step_counts_bulk(
 ) -> np.ndarray:
     """Sample one step ``trials`` times from a fixed state, vectorized.
 
-    Consumes randomness in the order of the batch steppers (a block of seed
-    integers, then the uniform arrays), so the outcomes match
-    ``wolff_step_many``/``glauber_step_many`` draw for draw. For Wolff the
+    Consumes randomness as a chain block of ``trials`` steps does (a block of
+    seed or site integers, then the uniform arrays), so each trial's target
+    is one chain-engine step from the state, draw for draw. For Wolff the
     arc law's run lengths depend only on the state and the seed, so they are
-    computed once per seed site and gathered per trial.
+    computed once per seed site and gathered per trial; Glauber trials read
+    ``_GLAUBER_FLIPS`` at their ``_glauber_keys`` row and the state's
+    ``_doubled_bonds`` column.
     """
     n = kernel.n
     size = kernel.size
@@ -410,12 +400,11 @@ def _one_step_counts_bulk(
         masks = _arc_flip_masks(seeds, g_right, g_left, run_r[seeds], run_l[seeds], n)
         masks ^= np.uint64(state_bits)
         return np.bincount(masks.view(np.int64), minlength=size)
-    cfg = Configuration(state_bits, n)
-    flip_prob = np.array([glauber_flip_probability(cfg, b + 1, kernel.params) for b in range(n)])
+    flip_probs = _glauber_flip_probs(kernel.params.require_finite("Glauber dynamics"))
     sites = gen.integers(0, n, size=trials)
-    u = gen.random(trials)
-    flips = np.where(u < flip_prob[sites], np.int64(1) << sites.astype(np.int64), 0)
-    return np.bincount(state_bits ^ flips, minlength=size)
+    keys = _glauber_keys(gen.random(trials), flip_probs)
+    flips = np.array(_GLAUBER_FLIPS)[keys | ((_doubled_bonds(state_bits, n) >> sites) & 3)]
+    return np.bincount(state_bits ^ (flips.astype(np.int64) << sites), minlength=size)
 
 
 def empirical_vs_exact(kernel: TransitionKernel, params: ModelParams, trials: int, rng) -> EmpiricalCheck:

@@ -352,11 +352,11 @@ class Ensemble:
         return self.x.shape[1]
 
 
-def build_ensemble(trajectory, n):
-    """The stored ensemble of a ``Trajectory`` on ``n`` sites, decoded in one piece."""
+def build_ensemble(states, n):
+    """The ensemble of a stored chain (``run_chain``'s uint64 states) on ``n`` sites, decoded in one piece."""
     from isingring.dynamics import decode_states
 
-    spins = decode_states(trajectory.states, n).astype(np.float64)
+    spins = decode_states(states, n).astype(np.float64)
     return Ensemble(x=spins.T / math.sqrt(n))
 
 
@@ -453,14 +453,16 @@ def susceptibility_row_sum(i, params):
 def glauber_flip_probability_from_components(config, site, params):
     """Heat-bath flip probability of 1-based ``site`` from the component case analysis.
 
-    The cross-check form of ``kernel.glauber_flip_probability``; reads the
-    package's component decomposition.
+    The cross-check form of ``kernel.build_glauber_kernel``'s single-flip
+    entries (times N); reads the package's component decomposition.
     """
     from isingring import FlipSet, decompose, vertex_boundary
-    from isingring.kernel import _check_site
 
     j_hat = params.require_finite("glauber_flip_probability_from_components")
-    _check_site(config, site, params)
+    if config.n != params.n:
+        raise ValueError("sizes of configuration and params differ")
+    if not 1 <= site <= params.n:
+        raise ValueError(f"site {site} out of range 1..{params.n}")
     e2, em2 = math.exp(2.0 * j_hat), math.exp(-2.0 * j_hat)
     dec = decompose(config)
     if dec.plus_count == 0 or dec.minus_count == 0:

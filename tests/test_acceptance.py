@@ -33,7 +33,6 @@ from isingring import (
     derived_constants,
     eigenvalues_symmetric,
     empirical_vs_exact,
-    encode_spins,
     exact_limit_covariance,
     gershgorin_norm,
     gibbs_measure,
@@ -158,11 +157,11 @@ def test_criterion_5_ergodic_average_bound():
     exact = two_point_correlation(1, 2, params)
     _, traj_bound = (None, lsi_constant_bound(j, n) / m)  # ||f||_L2^2 = 1 for f = s1*s2
     gen = RngStream(SEED, 5).generator()
-    states = encode_spins(sample_stationary_many(params, replicas, gen))
+    states = np.array(sample_stationary_many(params, replicas, gen), dtype=np.uint64)
     bond_prob = derived_constants(params).bond_prob
     one = np.uint64(1)
     unlike = (states ^ (states >> one)) & one  # per replica, the states with s1 != s2 (s1*s2 = -1)
-    # the draws and arithmetic of wolff_step_many, on packed states without decoding them
+    # one draw block per step, stepped by the arc law's uint64 twin on the packed states
     for _ in range(m - 1):
         seeds, g_right, g_left = _arc_draws(gen, replicas, n, bond_prob)
         states ^= _arc_flip_masks(seeds, g_right, g_left, *_arc_runs(states, seeds, n), n)
@@ -189,11 +188,11 @@ def test_criterion_6_critical_point_spectra():
             ctilde = decompose(initial).plus_count
             traj = run_chain(InitialLaw.fixed(initial), m, WOLFF, params,
                              RngStream(SEED, 6100 + n * 100 + rep))
-            hit = 1 + next(k for k, bits in enumerate(traj.states) if bits in (0, full))
+            hit = 1 + next(k for k, bits in enumerate(traj) if bits in (0, full))
             ok = ok and hit == (1 if initial.is_aligned else ctilde + 1)
-            post = traj.states[hit - 1 :]
+            post = traj[hit - 1 :]
             ok = ok and all(post[k + 1] == post[k] ^ full for k in range(len(post) - 1))
-            spins = decode_states(traj.states, n).astype(np.float64)
+            spins = decode_states(traj, n).astype(np.float64)
             k_matrix = spins.T @ spins / (m * n)
             values = eigenvalues_symmetric(k_matrix, 2)
             ok = ok and values[0] >= 1.0 - n / m - 1e-12
@@ -201,8 +200,8 @@ def test_criterion_6_critical_point_spectra():
         # exact alternation over a longer window: 1000 steps past the hit
         initial = Configuration(int(gen.integers(0, 1 << n)), n)
         traj = run_chain(InitialLaw.fixed(initial), n + 1000, WOLFF, params, RngStream(SEED, 6500 + n))
-        hit_at = next(k for k, bits in enumerate(traj.states) if bits in (0, full))
-        post = traj.states[hit_at:]
+        hit_at = next(k for k, bits in enumerate(traj) if bits in (0, full))
+        post = traj[hit_at:]
         ok = ok and all(post[k + 1] == post[k] ^ full for k in range(len(post) - 1))
         # lambda1 climbs toward 1 along growing M
         lams = []

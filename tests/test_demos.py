@@ -5,15 +5,17 @@ that a demo still reads fails here. Demos 01 (closed-form entries, via
 ``FlipSet``), 03 (LSI certification) and 04 (critical hitting, via
 ``decompose``) each take well under a second; demos 02 (one-step sampling
 at 10^6 trials per start state) and 05 (covariance decay) take a few
-seconds each.
+seconds each. The README's library quick start runs too.
 """
 
 import os
+import re
 import runpy
 
 import pytest
 
-DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = os.path.join(ROOT, "demos")
 
 
 @pytest.mark.parametrize("name", [
@@ -25,4 +27,13 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ])
 def test_demo_runs(name, capsys):
     runpy.run_path(os.path.join(DEMOS, name), run_name="__main__")
+    assert capsys.readouterr().out.strip()
+
+
+def test_readme_quick_start_runs(capsys):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"^## Library quick start\n+```python\n(.*?)^```", readme, re.S | re.M)
+    assert block, "README.md has no Python block under '## Library quick start'"
+    exec(compile(block.group(1), "README.md quick start", "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out.strip()

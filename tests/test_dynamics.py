@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingring import (
     GLAUBER,
@@ -13,38 +14,51 @@ from isingring import (
     ModelParams,
     ResourceLimitError,
     RngStream,
+    build_glauber_kernel,
     decompose,
     decode_states,
     derived_constants,
-    encode_spins,
     gibbs_measure,
-    glauber_step_many,
     hitting_time_aligned,
     iter_chain,
     run_chain,
     sample_stationary,
     sample_stationary_many,
     two_point_correlation,
-    wolff_step_many,
 )
 from isingring import dynamics
 from isingring.dynamics import (
     CHAIN_DRAW_BLOCK,
     HIT_STEP_CHUNK,
     _arc_draws,
+    _arc_flip_masks,
+    _arc_runs,
     _chain_bits,
     _glauber_flip_probs,
     _uniform_states,
     _wolff_arc_block,
 )
 from isingring.functionals import lsi_constant_bound
+from isingring.kernel import _one_step_counts_bulk
 
 import _oracles as oracle
 
 
-def tiled(cfg, rows):
-    """``rows`` copies of a configuration's spins, as batch-stepper input."""
-    return np.tile(np.array(cfg.spins(), dtype=np.int8), (rows, 1))
+def twin_step(states, params, gen):
+    """One Wolff step of each packed uint64 state by the arc law's uint64 twin, on one draw block."""
+    n = params.n
+    seeds, g_right, g_left = _arc_draws(gen, len(states), n, derived_constants(params).bond_prob)
+    return states ^ _arc_flip_masks(seeds, g_right, g_left, *_arc_runs(states, seeds, n), n)
+
+
+def copies(cfg, rows):
+    """``rows`` copies of a configuration's packed state, as uint64 twin input."""
+    return np.full(rows, cfg.bits, dtype=np.uint64)
+
+
+def spin_products(states, i, j):
+    """s_i s_j of each packed state (1-based sites), read from the XOR of their bits."""
+    return np.array([1 - 2 * ((bits >> (i - 1) ^ bits >> (j - 1)) & 1) for bits in states])
 
 
 class TestWolffStep:
@@ -52,7 +66,7 @@ class TestWolffStep:
         params = ModelParams(7, 0.0)
         gen = RngStream(1).generator()
         cfg = Configuration.from_spins([1, -1, 1, 1, -1, -1, 1])
-        states = run_chain(InitialLaw.fixed(cfg), 501, WOLFF, params, gen).states.tolist()
+        states = run_chain(InitialLaw.fixed(cfg), 501, WOLFF, params, gen).tolist()
         seen_sites = set()
         for a, b in zip(states, states[1:]):
             diff = a ^ b
@@ -65,7 +79,7 @@ class TestWolffStep:
         for j in (0.0, 0.3, 1.0):
             params = ModelParams(6, j)
             cfg = Configuration.from_spins([1, 1, -1, 1, -1, -1])
-            states = run_chain(InitialLaw.fixed(cfg), 101, WOLFF, params, gen).states.tolist()
+            states = run_chain(InitialLaw.fixed(cfg), 101, WOLFF, params, gen).tolist()
             for a, b in zip(states, states[1:]):
                 assert a != b
 
@@ -75,7 +89,7 @@ class TestWolffStep:
         params = ModelParams(8, 0.7)
         gen = RngStream(3).generator()
         cfg = Configuration.from_spins([1, 1, -1, 1, -1, -1, 1, 1])
-        states = run_chain(InitialLaw.fixed(cfg), 301, WOLFF, params, gen).states.tolist()
+        states = run_chain(InitialLaw.fixed(cfg), 301, WOLFF, params, gen).tolist()
         for a, b in zip(states, states[1:]):
             flipped = [k + 1 for k in range(8) if (a ^ b) >> k & 1]
             values = {Configuration(a, 8).spin(s) for s in flipped}
@@ -86,14 +100,14 @@ class TestWolffStep:
         params = ModelParams(5, INFINITE)
         gen = RngStream(4).generator()
         plus = Configuration.all_plus(5)
-        assert (wolff_step_many(tiled(plus, 10), params, gen) == -1).all()
+        assert (twin_step(copies(plus, 10), params, gen) == 0).all()
 
     def test_critical_flips_exactly_one_component(self):
         params = ModelParams(9, INFINITE)
         gen = RngStream(5).generator()
         cfg = Configuration.from_spins([1, 1, -1, 1, -1, -1, 1, -1, 1])
         components = decompose(cfg).components()
-        flips = encode_spins(wolff_step_many(tiled(cfg, 200), params, gen)) ^ np.uint64(cfg.bits)
+        flips = twin_step(copies(cfg, 200), params, gen) ^ np.uint64(cfg.bits)
         for flip in flips.tolist():
             assert flip in components
 
@@ -104,11 +118,10 @@ class TestGlauberStep:
         gen = RngStream(6).generator()
         cfg = Configuration.from_spins([1, -1, 1, -1, 1, 1])
         trials = 20000
-        nxt = encode_spins(glauber_step_many(tiled(cfg, trials), params, gen))
-        diff = np.bitwise_count(nxt ^ np.uint64(cfg.bits))
-        assert (diff <= 1).all()
-        stays = int((diff == 0).sum())
-        assert abs(stays / trials - 0.5) < 0.02
+        counts = _one_step_counts_bulk(cfg.bits, build_glauber_kernel(params), trials, gen)
+        reached = np.nonzero(counts)[0]
+        assert (np.bitwise_count(reached ^ cfg.bits) <= 1).all()
+        assert abs(counts[cfg.bits] / trials - 0.5) < 0.02
 
     def test_flip_rate_with_opposed_neighbors(self):
         # sigma_i (s_{i-1}+s_{i+1}) = -2: flip probability e^{2J}/(e^{2J}+e^{-2J})
@@ -117,15 +130,14 @@ class TestGlauberStep:
         cfg = Configuration.from_spins([-1, 1, -1])  # site 2 is +1 between two -1s
         gen = RngStream(7).generator()
         trials = 200000
-        nxt = encode_spins(glauber_step_many(tiled(cfg, trials), params, gen))
-        flips_at_2 = int(((nxt ^ np.uint64(cfg.bits)) == 0b010).sum())
+        flips_at_2 = int(_one_step_counts_bulk(cfg.bits, build_glauber_kernel(params), trials, gen)[cfg.bits ^ 0b010])
         p_expected = math.exp(2 * j) / (math.exp(2 * j) + math.exp(-2 * j)) / 3
         se = math.sqrt(p_expected * (1 - p_expected) / trials)
         assert abs(flips_at_2 / trials - p_expected) <= 4 * se
 
     def test_critical_rejected(self):
         with pytest.raises(CriticalCouplingError):
-            glauber_step_many(tiled(Configuration.all_plus(4), 1), ModelParams(4, INFINITE), RngStream(0).generator())
+            iter_chain(InitialLaw.all_plus(), 2, GLAUBER, ModelParams(4, INFINITE), RngStream(0))
 
     def test_heat_bath_odds_overflow_raises_naming_the_coupling(self):
         # e^{2J} is finite at J = 354 and overflows from about 354.9, where the odds would read inf/inf = NaN
@@ -139,8 +151,8 @@ class TestChains:
         params = ModelParams(5, 0.5)
         cfg = Configuration.from_spins([1, 1, -1, 1, -1])
         traj = run_chain(InitialLaw.fixed(cfg), 1, WOLFF, params, RngStream(8))
-        assert len(traj.states) == 1
-        assert Configuration(int(traj.states[0]), 5) == cfg
+        assert len(traj) == 1
+        assert Configuration(int(traj[0]), 5) == cfg
 
     def test_determinism(self):
         params = ModelParams(8, 0.8)
@@ -148,15 +160,15 @@ class TestChains:
         a = run_chain(law, 300, WOLFF, params, RngStream(9, 2))
         b = run_chain(law, 300, WOLFF, params, RngStream(9, 2))
         c = run_chain(law, 300, WOLFF, params, RngStream(9, 3))
-        assert np.array_equal(a.states, b.states)
-        assert not np.array_equal(a.states, c.states)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_iter_chain_matches_run_chain(self):
         params = ModelParams(6, 0.4)
         law = InitialLaw.all_plus()
         stored = run_chain(law, 50, GLAUBER, params, RngStream(10))
         streamed = list(iter_chain(law, 50, GLAUBER, params, RngStream(10)))
-        assert stored.states.tolist() == streamed
+        assert stored.tolist() == streamed
 
     @pytest.mark.parametrize("steps, kind", [(0, WOLFF), (-3, GLAUBER), (10, "metropolis")])
     def test_iter_chain_rejects_bad_arguments_at_the_call(self, steps, kind):
@@ -167,7 +179,7 @@ class TestChains:
         params = ModelParams(4, INFINITE)
         traj = run_chain(InitialLaw.all_plus(), 4, WOLFF, params, RngStream(11))
         full = (1 << 4) - 1
-        assert traj.states.tolist() == [full, 0, full, 0]
+        assert traj.tolist() == [full, 0, full, 0]
 
     def test_storage_budget(self, monkeypatch):
         monkeypatch.setattr("isingring.dynamics.STORAGE_BUDGET", 1000)
@@ -178,13 +190,13 @@ class TestChains:
     def test_ergodic_average_constant(self):
         params = ModelParams(4, 0.5)
         traj = run_chain(InitialLaw.all_plus(), 25, WOLFF, params, RngStream(13))
-        configs = (Configuration(int(b), 4) for b in traj.states)
+        configs = (Configuration(int(b), 4) for b in traj)
         assert oracle.ergodic_average(lambda c: 3.25, configs) == pytest.approx(3.25)
 
     def test_ergodic_average_magnetization_decays(self):
         params = ModelParams(6, 0.5)
         traj = run_chain(InitialLaw.all_plus(), 20000, WOLFF, params, RngStream(14))
-        mag = oracle.ergodic_average(lambda c: sum(c.spins()) / 6, (Configuration(int(b), 6) for b in traj.states))
+        mag = oracle.ergodic_average(lambda c: sum(c.spins()) / 6, (Configuration(int(b), 6) for b in traj))
         assert abs(mag) < 0.05
 
     def test_ergodic_average_pair_correlation(self):
@@ -299,7 +311,7 @@ class TestHitting:
         hit = hitting_time_aligned(cfg, RngStream(19, 1))
         traj = run_chain(InitialLaw.fixed(cfg), hit + 1000, WOLFF, params, RngStream(19, 2))
         full = (1 << 8) - 1
-        post = traj.states[hit - 1 :]
+        post = traj[hit - 1 :]
         assert post[0] in (0, full)
         for k in range(len(post) - 1):
             assert post[k + 1] == post[k] ^ full
@@ -338,20 +350,20 @@ STATIONARY_DRAWS = 200000
 
 
 def _unconditioned_wall_draw(params: ModelParams, count: int, gen) -> np.ndarray:
-    # sample_stationary_many's first attempt, with every row kept whatever its wall count
+    # sample_stationary_many's first attempt, with every row kept whatever its wall count, packed
     miss = derived_constants(params).bond_miss
     thresholds = np.full(params.n + 1, miss / (1.0 + miss))
     thresholds[0] = 0.5
     marks = gen.random((count, params.n + 1)) < thresholds
-    return np.where(np.logical_xor.accumulate(marks[:, : params.n], axis=1), -1, 1).astype(np.int8)
+    plus = ~np.logical_xor.accumulate(marks[:, : params.n], axis=1)
+    return (plus.astype(np.int64) << np.arange(params.n)).sum(axis=1)
 
 
 class TestStationarySampling:
     @pytest.mark.parametrize("n, j_hat", [(4, 0.3), (7, 0.5), (9, 2.0), (10, 1.0)])
     def test_sampler_matches_the_gibbs_measure(self, n, j_hat):
         params = ModelParams(n, j_hat)
-        spins = sample_stationary_many(params, STATIONARY_DRAWS, RngStream(20, n))
-        counts = np.bincount(encode_spins(spins).astype(np.int64), minlength=1 << n)
+        counts = np.bincount(sample_stationary_many(params, STATIONARY_DRAWS, RngStream(20, n)), minlength=1 << n)
         stat, dof = _pooled_chi_square(counts, gibbs_measure(params).probabilities, STATIONARY_DRAWS)
         assert stat <= _chi_square_quantile(dof, CHI_SQUARE_Z)
 
@@ -359,8 +371,7 @@ class TestStationarySampling:
         # negative control: without it about (1 - tanh(1)^4)/2 = 1/3 of the draws come
         # from odd wall counts, and the pin above must fail
         params = ModelParams(4, 1.0)
-        spins = _unconditioned_wall_draw(params, STATIONARY_DRAWS, RngStream(20, 4).generator())
-        counts = np.bincount(encode_spins(spins).astype(np.int64), minlength=16)
+        counts = np.bincount(_unconditioned_wall_draw(params, STATIONARY_DRAWS, RngStream(20, 4).generator()), minlength=16)
         stat, dof = _pooled_chi_square(counts, gibbs_measure(params).probabilities, STATIONARY_DRAWS)
         assert stat > _chi_square_quantile(dof, CHI_SQUARE_Z)
 
@@ -369,46 +380,45 @@ class TestStationarySampling:
         for seed in range(20):
             one = sample_stationary(params, RngStream(seed))
             many = sample_stationary_many(params, 1, RngStream(seed))[0]
-            assert one == Configuration.from_spins(many.tolist())
+            assert one == Configuration(many, 9)
 
     def test_zero_coupling_fair_signs(self):
         params = ModelParams(10, 0.0)
-        spins = sample_stationary_many(params, 50000, RngStream(21))
-        means = spins.mean(axis=0)
+        states = sample_stationary_many(params, 50000, RngStream(21))
+        means = decode_states(states, 10).mean(axis=0)
         assert np.abs(means).max() <= 4.0 / math.sqrt(50000)
         # neighbors uncorrelated
-        corr = (spins[:, 0] * spins[:, 1]).mean()
+        corr = spin_products(states, 1, 2).mean()
         assert abs(corr) <= 4.0 / math.sqrt(50000)
 
     def test_all_plus_frequency(self):
         params = ModelParams(8, 1.0)
         target = gibbs_measure(params).probabilities[(1 << 8) - 1]
         draws = 200000
-        spins = sample_stationary_many(params, draws, RngStream(22))
-        hits = int((spins == 1).all(axis=1).sum())
+        hits = sample_stationary_many(params, draws, RngStream(22)).count((1 << 8) - 1)
         se = math.sqrt(draws * target * (1 - target))
         assert abs(hits - draws * target) <= 4 * se
 
     def test_large_ring_pair_correlation(self):
         params = ModelParams(64, 0.5)
-        spins = sample_stationary_many(params, 100000, RngStream(24))
+        states = sample_stationary_many(params, 100000, RngStream(24))
         exact = two_point_correlation(1, 2, params)
-        emp = float((spins[:, 0] * spins[:, 1]).mean())
+        emp = float(spin_products(states, 1, 2).mean())
         se = math.sqrt((1 - exact**2) / 100000)
         assert abs(emp - exact) <= 4 * se
         # distant pair too (wrap-around term matters at finite n)
         exact_far = two_point_correlation(1, 33, params)
-        emp_far = float((spins[:, 0] * spins[:, 32]).mean())
+        emp_far = float(spin_products(states, 1, 33).mean())
         assert abs(emp_far - exact_far) <= 4 / math.sqrt(100000) + 1e-3
 
     def test_thousand_site_ring_pair_correlation(self):
         # the draw is one (count, n + 1) block per attempt at any n; 5000 rows keep it near 40 MB
         params = ModelParams(1024, 0.5)
         draws = 5000
-        spins = sample_stationary_many(params, draws, RngStream(24))
+        states = sample_stationary_many(params, draws, RngStream(24))
         for i, j in ((1, 2), (1, 1024), (1, 4), (1, 513)):
             exact = two_point_correlation(i, j, params)
-            emp = float((spins[:, i - 1] * spins[:, j - 1]).mean())
+            emp = float(spin_products(states, i, j).mean())
             assert abs(emp - exact) <= 4 * math.sqrt((1 - exact**2) / draws)
 
     def test_critical_rejected(self):
@@ -420,15 +430,14 @@ class TestBatchSteppers:
     def test_wolff_batch_only_flips_aligned_arcs(self):
         params = ModelParams(10, 0.6)
         gen = RngStream(26).generator()
-        spins = decode_states(gen.integers(0, 1 << 10, size=64).astype(np.uint64), 10)
+        states = gen.integers(0, 1 << 10, size=64).astype(np.uint64)
         for _ in range(50):
-            nxt = wolff_step_many(spins, params, gen)
-            changed = nxt != spins
-            assert changed.any(axis=1).all()  # a Wolff step always moves
-            for row in range(64):
-                flipped = np.nonzero(changed[row])[0]
-                assert len({int(spins[row, b]) for b in flipped}) == 1
-            spins = nxt
+            nxt = twin_step(states, params, gen)
+            changed = nxt ^ states
+            assert (changed != 0).all()  # a Wolff step always moves
+            shared = states & changed
+            assert ((shared == 0) | (shared == changed)).all()  # the flipped spins share one sign
+            states = nxt
 
     def test_batch_chain_reaches_stationarity(self):
         # 64 parallel chains, long run, empirical measure close to Gibbs
@@ -436,13 +445,13 @@ class TestBatchSteppers:
         mu = gibbs_measure(params).probabilities
         gen = RngStream(27).generator()
         chains = 64
-        spins = decode_states(gen.integers(0, 32, size=chains).astype(np.uint64), 5)
+        states = gen.integers(0, 32, size=chains).astype(np.uint64)
         counts = np.zeros(32)
         burn, keep = 200, 3000
         for step in range(burn + keep):
-            spins = wolff_step_many(spins, params, gen)
+            states = twin_step(states, params, gen)
             if step >= burn:
-                counts += np.bincount(encode_spins(spins).astype(np.int64), minlength=32)
+                counts += np.bincount(states.view(np.int64), minlength=32)
         tv = 0.5 * np.abs(counts / counts.sum() - mu).sum()
         assert tv < 0.01
 
@@ -463,12 +472,31 @@ def test_arc_law_forms_agree_draw_for_draw(n, j):
     for step in range(4):
         expected = oracle.roll_cumprod_wolff_step_many(spins, bond_prob, RngStream(31, step).generator())
         draws = _arc_draws(RngStream(31, step).generator(), len(states), n, bond_prob)
-        states = [_wolff_arc_block(b, [seed], [right], [left], n)[0]
-                  for b, seed, right, left in zip(states, *(x.tolist() for x in draws))]
-        assert states == [Configuration.from_spins(row.tolist()).bits for row in expected]
+        stepped = [_wolff_arc_block(b, [seed], [right], [left], n)[0]
+                   for b, seed, right, left in zip(states, *(x.tolist() for x in draws))]
+        assert stepped == [Configuration.from_spins(row.tolist()).bits for row in expected]
         if n <= 64:
-            assert np.array_equal(wolff_step_many(spins, params, RngStream(31, step).generator()), expected)
-        spins = expected
+            twin = twin_step(np.array(states, dtype=np.uint64), params, RngStream(31, step).generator())
+            assert twin.tolist() == stepped
+        states, spins = stepped, expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 64), j=st.one_of(st.floats(0.0, 4.0), st.just(INFINITE)), data=st.data())
+def test_arc_law_engines_agree_on_random_rings(n, j, data):
+    # _wolff_arc_block, the uint64 twin and the roll/cumprod oracle step random
+    # states on one draw block of a random stream
+    params = ModelParams(n, j)
+    bond_prob = derived_constants(params).bond_prob
+    states = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=32), label="states")
+    stream = data.draw(st.integers(0, 2**32 - 1), label="stream")
+    spins = np.array([Configuration(b, n).spins() for b in states], dtype=np.int8)
+    expected = oracle.roll_cumprod_wolff_step_many(spins, bond_prob, RngStream(35, stream).generator())
+    draws = _arc_draws(RngStream(35, stream).generator(), len(states), n, bond_prob)
+    scalar = [_wolff_arc_block(b, [seed], [right], [left], n)[0]
+              for b, seed, right, left in zip(states, *(x.tolist() for x in draws))]
+    twin = twin_step(np.array(states, dtype=np.uint64), params, RngStream(35, stream).generator())
+    assert scalar == twin.tolist() == [Configuration.from_spins(row.tolist()).bits for row in expected]
 
 
 def _glauber_by_hand(bits, site, u, n, j_hat):
@@ -524,7 +552,7 @@ def test_block_chains_match_the_per_step_chain(kind, j, n, length):
     if n <= 64:
         gen = RngStream(34).generator()
         traj = run_chain(InitialLaw.fixed(Configuration(start, n)), length, kind, params, gen)
-        assert np.array_equal(traj.states, np.array(expected, dtype=np.uint64))
+        assert np.array_equal(traj, np.array(expected, dtype=np.uint64))
         assert gen.random() == after
 
 

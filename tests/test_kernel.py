@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from isingring import (
     INFINITE,
@@ -13,8 +14,8 @@ from isingring import (
     build_wolff_kernel,
     check_detailed_balance,
     empirical_vs_exact,
+    derived_constants,
     gibbs_measure,
-    glauber_flip_probability,
     poincare_constant_bound,
     symmetrize_and_decompose,
     wolff_dual_form_disagreement,
@@ -270,16 +271,6 @@ class TestGlauberKernel:
         mu = gibbs_measure(p).probabilities
         np.testing.assert_allclose(mu @ kernel.matrix, mu, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 4, 6, 8])
-    def test_case_form_matches_local_form(self, n):
-        p = ModelParams(n, 0.65)
-        for bits in range(1 << n):
-            cfg = Configuration(bits, n)
-            for site in range(1, n + 1):
-                a = glauber_flip_probability(cfg, site, p)
-                b = oracle.glauber_flip_probability_from_components(cfg, site, p)
-                assert abs(a - b) <= 1e-15
-
     @pytest.mark.parametrize("j", [0.0, 0.65, 2.5])
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_kernel_entries_match_component_form(self, n, j):
@@ -299,7 +290,7 @@ class TestGlauberKernel:
         with pytest.raises(CriticalCouplingError):
             build_glauber_kernel(ModelParams(4, INFINITE))
 
-    @pytest.mark.parametrize("form", [glauber_flip_probability, oracle.glauber_flip_probability_from_components])
+    @pytest.mark.parametrize("form", [oracle.glauber_flip_probability_from_components])
     def test_flip_probability_rejects_bad_site_or_size(self, form):
         p = ModelParams(4, 0.5)
         for cfg in (Configuration.all_plus(4), Configuration.from_spins([1, -1, -1, 1])):
@@ -446,33 +437,38 @@ class TestFlipSectors:
 
 
 class TestEmpirical:
-    def test_bulk_matches_batch_stepper_draw_for_draw(self):
-        from isingring.dynamics import decode_states, encode_spins, wolff_step_many
+    @pytest.mark.parametrize("j", [0.0, 0.5, 3.0, INFINITE], ids=lambda v: "inf" if v is INFINITE else str(v))
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_wolff_bulk_is_one_chain_step_per_trial(self, n, j):
+        # the bulk counts are the targets of one _wolff_arc_block step per trial, draw for draw
+        from isingring.dynamics import _arc_draws, _wolff_arc_block
         from isingring.kernel import _one_step_counts_bulk
 
-        params = ModelParams(6, 0.5)
+        params = ModelParams(n, j)
         kernel = build_wolff_kernel(params)
-        bits = 0b101100
-        g1 = RngStream(99).generator()
-        g2 = RngStream(99).generator()
-        fast = _one_step_counts_bulk(bits, kernel, 4000, g1)
-        start = decode_states(np.full(4000, bits, dtype=np.uint64), 6)
-        ref = np.bincount(encode_spins(wolff_step_many(start, params, g2)).astype(np.int64), minlength=64)
-        assert np.array_equal(fast, ref)
+        for bits in range(1 << n):
+            fast = _one_step_counts_bulk(bits, kernel, 500, RngStream(99, bits).generator())
+            draws = _arc_draws(RngStream(99, bits).generator(), 500, n, derived_constants(params).bond_prob)
+            targets = [_wolff_arc_block(bits, [seed], [right], [left], n)[0]
+                       for seed, right, left in zip(*(d.tolist() for d in draws))]
+            assert np.array_equal(fast, np.bincount(targets, minlength=1 << n))
 
-    def test_glauber_bulk_matches_batch_stepper(self):
-        from isingring.dynamics import decode_states, encode_spins, glauber_step_many
+    @pytest.mark.parametrize("j", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_glauber_bulk_is_one_chain_step_per_trial(self, n, j):
+        # the bulk counts are the targets of one _glauber_block step per trial, draw for draw:
+        # sites, then uniforms, as a chain block draws them
+        from isingring.dynamics import _glauber_block, _glauber_flip_probs, _glauber_keys
         from isingring.kernel import _one_step_counts_bulk
 
-        params = ModelParams(6, 0.5)
-        kernel = build_glauber_kernel(params)
-        bits = 0b011010
-        g1 = RngStream(77).generator()
-        g2 = RngStream(77).generator()
-        fast = _one_step_counts_bulk(bits, kernel, 4000, g1)
-        start = decode_states(np.full(4000, bits, dtype=np.uint64), 6)
-        ref = np.bincount(encode_spins(glauber_step_many(start, params, g2)).astype(np.int64), minlength=64)
-        assert np.array_equal(fast, ref)
+        kernel = build_glauber_kernel(ModelParams(n, j))
+        for bits in range(1 << n):
+            fast = _one_step_counts_bulk(bits, kernel, 500, RngStream(77, bits).generator())
+            ref = RngStream(77, bits).generator()
+            sites = ref.integers(0, n, size=500).tolist()
+            keys = _glauber_keys(ref.random(500), _glauber_flip_probs(j)).tolist()
+            targets = [_glauber_block(bits, [site], [key], n)[0] for site, key in zip(sites, keys)]
+            assert np.array_equal(fast, np.bincount(targets, minlength=1 << n))
 
     @pytest.mark.parametrize("method", ["bulk", "stack"])
     def test_wolff_sampler_vs_kernel(self, method, monkeypatch):
@@ -547,13 +543,16 @@ class TestEmpirical:
 
 
 class TestExports:
-    def test_covariance_round_trip(self, tmp_path):
-        path = tmp_path / "cov.bin"
-        matrix = np.arange(25.0).reshape(5, 5)
-        write_matrix_dump(path, 5, float("inf"), matrix)
-        n, j_hat, back = oracle.read_matrix_dump(path)
-        assert n == 5 and j_hat == float("inf")
-        np.testing.assert_array_equal(back, matrix)
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 12), j_hat=st.one_of(st.just(0.0), st.floats(0.0, 4.0), st.just(math.inf)), data=st.data())
+    def test_covariance_round_trip(self, tmp_path_factory, n, j_hat, data):
+        # every float64 entry, inf and NaN included, comes back bit for bit
+        matrix = data.draw(hnp.arrays(np.float64, (n, n)))
+        path = tmp_path_factory.getbasetemp() / "cov_round_trip.bin"
+        write_matrix_dump(path, n, j_hat, matrix)
+        side, back_j, back = oracle.read_matrix_dump(path)
+        assert side == n and back_j == j_hat
+        assert back.tobytes() == matrix.tobytes()
 
     def test_malformed_dumps_are_named(self, tmp_path):
         path = tmp_path / "cov.bin"

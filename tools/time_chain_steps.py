@@ -1,4 +1,4 @@
-"""Microseconds per chain step of ``run_chain`` and per start of ``hitting_time_aligned``, for one source tree.
+"""Microseconds per chain step of ``iter_chain`` and per start of ``hitting_time_aligned``, for one source tree.
 
     python3 tools/time_chain_steps.py [--src SRC]
 
