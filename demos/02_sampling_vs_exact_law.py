@@ -9,7 +9,6 @@ empirical distribution from the Gibbs measure.
 import numpy as np
 
 from isingring import (
-    InitialLaw,
     ModelParams,
     RngStream,
     WOLFF,
@@ -32,7 +31,7 @@ print()
 m = 500_000
 mu = gibbs_measure(params).probabilities
 counts = np.zeros(kernel.size)
-for bits in iter_chain(InitialLaw.all_plus(), m, WOLFF, params, RngStream(11)):
+for bits in iter_chain("all-plus", m, WOLFF, params, RngStream(11)):
     counts[bits] += 1
 tv = 0.5 * np.abs(counts / m - mu).sum()
 print(f"long-run check: {m} Wolff steps from the all-plus state")

@@ -12,14 +12,13 @@ import numpy as np
 from isingring import (
     Configuration,
     INFINITE,
-    InitialLaw,
     ModelParams,
     RngStream,
     WOLFF,
     decompose,
     eigenvalues_symmetric,
     hitting_time_aligned,
-    run_chain,
+    iter_chain,
     run_covariance_chain,
 )
 
@@ -30,14 +29,14 @@ gen = RngStream(3).generator()
 print("hitting the aligned pair (N=16, critical coupling):")
 print("  components  hit index (10 random starts each)")
 for _ in range(5):
-    initial = Configuration(int(gen.integers(0, 1 << n)), n)
-    ctilde = decompose(initial).plus_count
-    hits = {hitting_time_aligned(initial, RngStream(9, s)) for s in range(10)}
+    bits = int(gen.integers(0, 1 << n))
+    ctilde = decompose(Configuration(bits, n)).plus_count
+    hits = {hitting_time_aligned(bits, n, RngStream(9, s)) for s in range(10)}
     print(f"  {ctilde:10d}  {sorted(hits)}")
 print("  (the hit index is deterministic: one component pair merges per step)")
 print()
 
-states = run_chain(InitialLaw.all_plus(), 6, WOLFF, params, RngStream(1))
+states = np.fromiter(iter_chain("all-plus", 6, WOLFF, params, RngStream(1)), np.uint64, count=6)
 print("from all-plus the chain alternates:", ["+1" if b else "-1" for b in (states == states[0])])
 print()
 

@@ -30,12 +30,11 @@ from .clusters import (
 from .randomness import RngStream
 from .dynamics import (
     GLAUBER,
+    INITIAL_LAWS,
     WOLFF,
-    InitialLaw,
     decode_states,
     hitting_time_aligned,
     iter_chain,
-    run_chain,
     sample_stationary,
     sample_stationary_many,
 )

@@ -32,7 +32,6 @@ from . import __version__
 from .model import (
     INFINITE,
     KERNEL_SITE_LIMIT,
-    Configuration,
     CriticalCouplingError,
     ModelParams,
     ResourceLimitError,
@@ -45,9 +44,9 @@ from .clusters import plus_component_count
 from .dynamics import (
     CHAIN_DRAW_BLOCK,
     GLAUBER,
+    INITIAL_LAWS,
     STORAGE_BUDGET,
     WOLFF,
-    InitialLaw,
     _uniform_states,
     hitting_time_aligned,
     iter_chain,
@@ -73,11 +72,10 @@ from .functionals import (
 from .randomness import RngStream, keyed_generators
 from .spectra import (
     ACCUMULATE_BLOCK,
-    CSV_COLUMNS,
     DEFAULT_BATCHES,
+    CellResult,
     ExperimentCell,
     evaluate_cell,
-    result_row,
     run_covariance_chain,
 )
 
@@ -268,7 +266,7 @@ def _validate(config: RunConfig):
         raise UsageError("need --seed >= 0: RngStream keys are nonnegative")
     if "n" in v and v["n"] < 2:
         raise UsageError("need n >= 2")
-    if "m" in v and v["m"] is not None and v["m"] < 1:
+    if "m" in v and v["m"] < 1:
         raise UsageError("need m >= 1")
     critical = v.get("j_hat") is INFINITE
     if config.command in ("kernel-verify", "lsi-verify"):
@@ -281,7 +279,7 @@ def _validate(config: RunConfig):
     if config.command == "simulate":
         if v["dynamics"] not in (WOLFF, GLAUBER):
             raise UsageError(f"unknown dynamics {v['dynamics']!r}")
-        if v["initial"] not in ("stationary", "all-plus", "uniform"):
+        if v["initial"] not in INITIAL_LAWS:
             raise UsageError(f"unknown initial law {v['initial']!r}")
         if critical and v["dynamics"] == GLAUBER:
             raise UsageError("Glauber dynamics is undefined at the critical coupling 'inf'")
@@ -363,22 +361,42 @@ def _j_label(j) -> str:
     return "inf" if j is INFINITE else repr(float(j))
 
 
+CSV_COLUMNS = [
+    "n", "j_hat", "m", "seed", "lambda1", "lambda2", "norm1",
+    "khat_norm_bound", "thm43_bound", "pass_41", "pass_42", "pass_43",
+]
+
+
+def result_row(result: CellResult) -> list:
+    return [
+        str(result.n), _j_label(result.j_hat), str(result.m), str(result.seed),
+        _fmt(result.lambda1), _fmt(result.lambda2), _fmt(result.norm1),
+        _fmt(result.khat_norm_bound), _fmt(result.thm43_bound),
+        str(int(result.pass_41)), str(int(result.pass_42)), str(int(result.pass_43)),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
-def _run_cells(units) -> list:
+def _run_cells(units) -> tuple:
     """Run one Wolff covariance chain per ``(cell, seed, stream)`` unit, in unit order.
 
-    Each unit owns ``RngStream(seed, stream)``. Returns the
-    ``(CellResult, CovarianceRun)`` pairs in unit order.
+    Each unit owns ``RngStream(seed, stream)``. Returns the ``CellResult`` and
+    the (batch-norm mean, batch-norm standard error) pair of each unit, in
+    unit order, and unit 0's covariance matrix. A run's batch matrices are
+    dropped once these are read, so memory does not grow with the units.
     """
-    outcomes = []
+    results, batch_norms, first_matrix = [], [], None
     for cell, seed, stream in units:
         run = run_covariance_chain(ModelParams(cell.n, cell.j_hat), cell.m, WOLFF, RngStream(seed, stream))
-        outcomes.append((evaluate_cell(cell, run, seed), run))
-    return outcomes
+        results.append(evaluate_cell(cell, run, seed))
+        batch_norms.append((run.norm1_batch_mean, run.norm1_batch_se))
+        if first_matrix is None:
+            first_matrix = run.matrix
+    return results, batch_norms, first_matrix
 
 
 def _ergodic_sums(states, m: int, n: int) -> tuple:
@@ -411,13 +429,8 @@ def _ergodic_sums(states, m: int, n: int) -> tuple:
 
 def _cmd_simulate(config: RunConfig) -> int:
     params = ModelParams(config.n, config.j_hat)
-    law = {
-        "stationary": InitialLaw.stationary(),
-        "all-plus": InitialLaw.all_plus(),
-        "uniform": InitialLaw.uniform_random(),
-    }[config.initial]
     n = config.n
-    states = iter_chain(law, config.m, config.dynamics, params, RngStream(config.seed))
+    states = iter_chain(config.initial, config.m, config.dynamics, params, RngStream(config.seed))
     mag_sum, corr_sum = _ergodic_sums(states, config.m, n)
     mag = mag_sum / config.m
     corr = corr_sum / config.m
@@ -522,13 +535,12 @@ def _cmd_lsi_verify(config: RunConfig) -> int:
 def _cmd_spectra(config: RunConfig) -> int:
     cell = ExperimentCell(n=config.n, j_hat=config.j_hat, m=config.m)
     units = [(cell, config.seed + r, r) for r in range(config.replicas)]
-    outcomes = _run_cells(units)
-    results = [res for res, _ in outcomes]
+    results, _, first_matrix = _run_cells(units)
     rows = [result_row(r) for r in results]
     write_csv(os.path.join(config.out, "spectra.csv"), CSV_COLUMNS, rows, config)
     if config.save_matrix:
         j_float = float("inf") if cell.j_hat is INFINITE else float(cell.j_hat)
-        write_matrix_dump(os.path.join(config.out, "covariance.bin"), cell.n, j_float, outcomes[0][1].matrix)
+        write_matrix_dump(os.path.join(config.out, "covariance.bin"), cell.n, j_float, first_matrix)
     ok = all(r.pass_41 and r.pass_42 and r.pass_43 for r in results)
     lam1 = results[0].lambda1
     print(f"spectra n={config.n} j={_j_label(config.j_hat)} m={config.m} x{config.replicas}: "
@@ -538,6 +550,7 @@ def _cmd_spectra(config: RunConfig) -> int:
 
 def _cmd_hitting(config: RunConfig) -> int:
     n = config.n
+    full = (1 << n) - 1
     ok = True
 
     def rows():
@@ -549,11 +562,10 @@ def _cmd_hitting(config: RunConfig) -> int:
             hi = min(lo + CHAIN_DRAW_BLOCK, config.count)
             starts = _uniform_states(n, hi - lo, start_gen)
             for k, bits, gen in zip(range(lo, hi), starts, keyed_generators(config.seed, range(lo + 1, hi + 1))):
-                initial = Configuration(bits, n)
                 ctilde = plus_component_count(bits, n)
-                hit = hitting_time_aligned(initial, gen)
+                hit = hitting_time_aligned(bits, n, gen)
                 # each step merges one component pair: ctilde plus components align after ctilde steps
-                good = hit == (1 if initial.is_aligned else ctilde + 1)
+                good = hit == (1 if bits == 0 or bits == full else ctilde + 1)
                 ok = ok and good
                 yield [str(n), str(k), str(ctilde), str(hit), str(int(good))]
 
@@ -569,9 +581,7 @@ def _cmd_sweep(config: RunConfig) -> int:
     seeds = [config.seed + r for r in range(config.replicas)]
     units = [(ExperimentCell(n=n, j_hat=j, m=n**3), seed, idx)
              for idx, (n, seed) in enumerate((n, s) for n in config.n_list for s in seeds)]
-    outcomes = _run_cells(units)
-    results = [res for res, _ in outcomes]
-    runs = [r for _, r in outcomes]
+    results, batch_norms, _ = _run_cells(units)
     rows = [result_row(r) for r in results]
     write_csv(os.path.join(config.out, "sweep.csv"), CSV_COLUMNS, rows, config)
 
@@ -579,9 +589,9 @@ def _cmd_sweep(config: RunConfig) -> int:
     # mean batch norms per size, with the error-bar monotonicity rule
     per_size = []
     for k, n in enumerate(config.n_list):
-        group = runs[k * len(seeds) : (k + 1) * len(seeds)]
-        means = [r.norm1_batch_mean for r in group]
-        ses = [r.norm1_batch_se for r in group]
+        group = batch_norms[k * len(seeds) : (k + 1) * len(seeds)]
+        means = [mean for mean, _ in group]
+        ses = [se for _, se in group]
         per_size.append((sum(means) / len(means), max(ses)))
     monotone = all(
         m2 <= m1 + 2.0 * math.hypot(s1, s2)

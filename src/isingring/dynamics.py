@@ -17,7 +17,7 @@ bond_prob^cap at it. The law is written once on bit-packed states:
 ``_wolff_arc_block`` on Python ints (any n) and its uint64 twin
 ``_arc_runs`` + ``_arc_flip_masks`` (n <= 64). RNG consumption per step: one
 integer plus two uniforms, drawn in blocks of seeds, then right uniforms,
-then left uniforms (``_arc_draws``). Chains (``_chain_bits``) draw one block
+then left uniforms (``_arc_draws``). Chains (``iter_chain``) draw one block
 of up to ``CHAIN_DRAW_BLOCK`` steps at a time and step it in one tight loop;
 ``hitting_time_aligned`` draws one block of n + 1 steps, steps the c merges
 the plus-component count c predicts, and the rest only if none of those
@@ -34,16 +34,19 @@ loop on the doubled frustrated-bond mask (``_doubled_bonds``,
 ``_glauber_block``). The kernel's bulk one-step sampler reads the same keys
 and ``_GLAUBER_FLIPS`` table on the same mask.
 
-``iter_chain`` streams a chain of either dynamics as bit-packed ints, with no
-``Configuration`` per state; ``run_chain`` stores one as a uint64 array.
+``iter_chain`` is the one chain driver. Y_1 is an n-bit int or is drawn by
+name from a law in ``INITIAL_LAWS`` on the chain's own generator, and the
+chain of either dynamics streams out as bit-packed ints, with no
+``Configuration`` per state; ``np.fromiter(chain, np.uint64, count=steps)``
+stores one at n <= 64.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional
+import operator
+from typing import Iterator
 
 import numpy as np
 
@@ -51,7 +54,6 @@ from .clusters import plus_component_count
 from .model import (
     Configuration,
     ModelParams,
-    ResourceLimitError,
     _rotated_bits,
     derived_constants,
     gibbs_measure,  # unused here; bench/tracer.py rebinds this name on dynamics
@@ -61,11 +63,14 @@ from .randomness import as_generator
 WOLFF = "wolff"
 GLAUBER = "glauber"
 
-#: ``run_chain`` refuses to store trajectories larger than this many bytes.
+#: The CLI refuses a ``simulate`` or ``hitting`` run whose held states exceed this many bytes.
 STORAGE_BUDGET = 256 * 1024 * 1024
 
 #: Chains pre-draw the randomness of at most this many steps at once.
 CHAIN_DRAW_BLOCK = 4096
+
+#: The laws ``iter_chain`` draws Y_1 from, by name.
+INITIAL_LAWS = ("stationary", "all-plus", "uniform")
 
 
 def _glauber_flip_probs(j_hat: float) -> np.ndarray:
@@ -229,51 +234,6 @@ def _arc_flip_masks(seeds, g_right, g_left, run_r, run_l, n: int) -> np.ndarray:
     return arc
 
 
-@dataclass(frozen=True)
-class InitialLaw:
-    """How Y_1 is drawn: a fixed configuration, an exact stationary sample,
-    the all-plus state, or a uniform random state."""
-
-    kind: str
-    config: Optional[Configuration] = None
-
-    FIXED = "fixed"
-    STATIONARY = "stationary"
-    ALL_PLUS = "all-plus"
-    UNIFORM = "uniform"
-
-    @classmethod
-    def fixed(cls, config: Configuration) -> "InitialLaw":
-        return cls(cls.FIXED, config)
-
-    @classmethod
-    def stationary(cls) -> "InitialLaw":
-        return cls(cls.STATIONARY)
-
-    @classmethod
-    def all_plus(cls) -> "InitialLaw":
-        return cls(cls.ALL_PLUS)
-
-    @classmethod
-    def uniform_random(cls) -> "InitialLaw":
-        return cls(cls.UNIFORM)
-
-    def sample(self, params: ModelParams, gen: np.random.Generator) -> Configuration:
-        if self.kind == self.FIXED:
-            if self.config is None:
-                raise ValueError("fixed initial law needs a configuration")
-            if self.config.n != params.n:
-                raise ValueError("initial configuration and params sizes differ")
-            return self.config
-        if self.kind == self.ALL_PLUS:
-            return Configuration.all_plus(params.n)
-        if self.kind == self.UNIFORM:
-            return Configuration(_uniform_states(params.n, 1, gen)[0], params.n)
-        if self.kind == self.STATIONARY:
-            return sample_stationary(params, gen)
-        raise ValueError(f"unknown initial law {self.kind!r}")
-
-
 def _uniform_states(n: int, count: int, gen: np.random.Generator) -> list:
     """``count`` uniform n-bit states as ints (draw order above); ``gen.integers(0, 1 << n, size=count)`` at 33 <= n <= 63."""
     w = -(-n // 64)
@@ -292,8 +252,23 @@ def decode_states(states: np.ndarray, n: int) -> np.ndarray:
     return (2 * bits.astype(np.int8) - 1).astype(np.int8)
 
 
-def _chain_bits(bits: int, states: int, kind: str, params: ModelParams, gen: np.random.Generator) -> Iterator[int]:
-    """Iterate over ``states`` bit-packed chain states: ``bits`` itself, then one per step.
+def _state_bits(bits, n: int) -> int:
+    """``bits`` as an int (anything ``operator.index`` accepts), checked to be an n-bit state."""
+    bits = operator.index(bits)
+    if not 0 <= bits < 1 << n:
+        raise ValueError(f"bits {bits} out of range for n={n}")
+    return bits
+
+
+def iter_chain(initial, steps: int, kind: str, params: ModelParams, rng) -> Iterator[int]:
+    """Stream Y_1..Y_steps as bit-packed ints (bit b is site b+1; constant memory, any n).
+
+    ``initial`` is Y_1 as an n-bit int, or the name of a law in
+    ``INITIAL_LAWS`` drawn from the chain's generator before its steps: one
+    ``sample_stationary`` draw, the all-plus state, or one ``_uniform_states``
+    draw. Argument errors raise here, before any draw, not at the first
+    ``next()``. Wrap a state in ``Configuration(bits, params.n)`` where its
+    spins are needed.
 
     Both dynamics pre-draw blocks of at most ``CHAIN_DRAW_BLOCK`` steps, cut
     at the steps remaining, so a chain consumes exactly its own steps' draws.
@@ -302,6 +277,8 @@ def _chain_bits(bits: int, states: int, kind: str, params: ModelParams, gen: np.
     Glauber blocks by ``_glauber_block`` on sites, then uniforms. The states
     come out of a list, so ``np.fromiter`` pulls them at C speed.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     if kind not in (WOLFF, GLAUBER):
         raise ValueError(f"unknown dynamics kind {kind!r}")
     n = params.n
@@ -309,11 +286,23 @@ def _chain_bits(bits: int, states: int, kind: str, params: ModelParams, gen: np.
         flip_probs = _glauber_flip_probs(params.require_finite("Glauber dynamics"))
     else:
         bond_prob = derived_constants(params).bond_prob
+    if isinstance(initial, str):
+        if initial not in INITIAL_LAWS:
+            raise ValueError(f"unknown initial law {initial!r}")
+    else:
+        bits = _state_bits(initial, n)
+    gen = as_generator(rng)
+    if initial == "stationary":
+        bits = sample_stationary(params, gen).bits  # raises at 'inf' before drawing
+    elif initial == "all-plus":
+        bits = (1 << n) - 1
+    elif initial == "uniform":
+        bits = _uniform_states(n, 1, gen)[0]
 
     def blocks():
         last = bits
-        for done in range(0, states - 1, CHAIN_DRAW_BLOCK):
-            count = min(CHAIN_DRAW_BLOCK, states - 1 - done)
+        for done in range(0, steps - 1, CHAIN_DRAW_BLOCK):
+            count = min(CHAIN_DRAW_BLOCK, steps - 1 - done)
             if kind == GLAUBER:
                 sites = gen.integers(0, n, size=count).tolist()
                 block = _glauber_block(last, sites, _glauber_keys(gen.random(count), flip_probs).tolist(), n)
@@ -325,58 +314,30 @@ def _chain_bits(bits: int, states: int, kind: str, params: ModelParams, gen: np.
     return itertools.chain((bits,), itertools.chain.from_iterable(blocks()))
 
 
-def iter_chain(initial: InitialLaw, steps: int, kind: str, params: ModelParams, rng) -> Iterator[int]:
-    """Stream Y_1..Y_steps as bit-packed ints (bit b is site b+1; constant memory, any n).
-
-    Argument errors raise here, not at the first ``next()``. Wrap a state in
-    ``Configuration(bits, params.n)`` where its spins are needed.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    gen = as_generator(rng)
-    return _chain_bits(initial.sample(params, gen).bits, steps, kind, params, gen)
-
-
-def run_chain(initial: InitialLaw, steps: int, kind: str, params: ModelParams, rng) -> np.ndarray:
-    """Run and store a chain Y_1..Y_steps as a bit-packed uint64 array (n <= 64); Y_1 is the initial draw."""
-    if params.n > 64:
-        raise ResourceLimitError("stored trajectories are bit-packed in uint64 (n <= 64); use iter_chain")
-    if steps * 8 > STORAGE_BUDGET:
-        raise ResourceLimitError(
-            f"storing {steps} states needs {steps * 8} bytes > budget {STORAGE_BUDGET}; use iter_chain"
-        )
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    gen = as_generator(rng)
-    chain = _chain_bits(initial.sample(params, gen).bits, steps, kind, params, gen)
-    return np.fromiter(chain, dtype=np.uint64, count=steps)
-
-
 #: ``hitting_time_aligned`` steps its pre-drawn block at most this many states per call.
 HIT_STEP_CHUNK = 64
 
 
-def hitting_time_aligned(initial: Configuration, rng) -> int:
-    """First 1-based index k with Y_k fully aligned, for the critical-point chain.
+def hitting_time_aligned(bits, n: int, rng) -> int:
+    """First 1-based index k with Y_k fully aligned, for the critical-point chain on n sites.
 
-    Y_1 = initial, so an aligned start returns 1. For a non-aligned start the
-    chain merges exactly one component pair per step, so the value is the
-    initial plus-component count c + 1 (deterministic even though the path is
-    random). The chain's n + 1 steps are drawn as one block, as ``_chain_bits``
-    draws a chain of n + 2 states: n + 1 seeds, then n + 1 right and n + 1
-    left uniforms. At 'inf' the bond probability is 1, so both extensions are
-    the cap n and the uniforms are drawn unread, which keeps a caller's
-    generator in step with the chain's. The first c draws, then the rest, are
-    stepped by ``_wolff_arc_block`` in chunks of at most ``HIT_STEP_CHUNK``
-    (at n <= 64 the first c in one call), and stepping stops at the first
-    aligned state, so the index returned is the one the chain reaches, not
-    the one predicted, and at most one chunk of states is held. An aligned
-    start draws nothing.
+    Y_1 = ``bits``, an n-bit state checked before any draw, so an aligned
+    start returns 1. For a non-aligned start the chain merges exactly one
+    component pair per step, so the value is the initial plus-component count
+    c + 1 (deterministic even though the path is random). The chain's n + 1
+    steps are drawn as one block, as ``iter_chain`` draws a chain of n + 2
+    states: n + 1 seeds, then n + 1 right and n + 1 left uniforms. At 'inf'
+    the bond probability is 1, so both extensions are the cap n and the
+    uniforms are drawn unread, which keeps a caller's generator in step with
+    the chain's. The first c draws, then the rest, are stepped by
+    ``_wolff_arc_block`` in chunks of at most ``HIT_STEP_CHUNK`` (at n <= 64
+    the first c in one call), and stepping stops at the first aligned state,
+    so the index returned is the one the chain reaches, not the one predicted,
+    and at most one chunk of states is held. An aligned start draws nothing.
     """
+    bits = _state_bits(bits, n)
     gen = as_generator(rng)
-    n = initial.n
     full = (1 << n) - 1
-    bits = initial.bits
     if bits == 0 or bits == full:
         return 1
     seeds = gen.integers(0, n, size=n + 1).tolist()

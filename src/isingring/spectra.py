@@ -18,14 +18,13 @@ from typing import Optional
 import numpy as np
 
 from .model import (
-    INFINITE,
     Configuration,
     ModelParams,
     derived_constants,
     susceptibility_closed_form_bound,
 )
 from .clusters import decompose
-from .dynamics import _chain_bits, _uniform_states, decode_states, sample_stationary
+from .dynamics import _uniform_states, decode_states, iter_chain, sample_stationary
 from .functionals import lsi_constant_bound
 from .randomness import as_generator
 
@@ -168,7 +167,7 @@ def run_covariance_chain(params: ModelParams, m: int, kind: str, rng) -> Covaria
     dec0 = decompose(initial).plus_count if params.is_critical else None
     hit_index = None
     full = (1 << n) - 1
-    states = _chain_bits(initial.bits, m, kind, params, gen)
+    states = iter_chain(initial.bits, m, kind, params, gen)
     for b, acc in enumerate(batch_accums):
         for lo in range(boundaries[b], boundaries[b + 1], ACCUMULATE_BLOCK):
             seg = np.fromiter(states, dtype=np.uint64, count=min(ACCUMULATE_BLOCK, boundaries[b + 1] - lo))
@@ -232,9 +231,6 @@ class CellResult:
     pass_42: bool
     pass_43: bool
 
-    def j_label(self) -> str:
-        return "inf" if self.j_hat is INFINITE else repr(float(self.j_hat))
-
 
 def evaluate_cell(cell: ExperimentCell, run: CovarianceRun, seed: int) -> CellResult:
     """Evaluate the closed-form predictions for an already-run covariance chain."""
@@ -264,21 +260,3 @@ def evaluate_cell(cell: ExperimentCell, run: CovarianceRun, seed: int) -> CellRe
         khat_norm_bound=det_bound, thm43_bound=stoch_bound,
         pass_41=pass_41, pass_42=pass_42, pass_43=pass_43,
     )
-
-
-CSV_COLUMNS = [
-    "n", "j_hat", "m", "seed", "lambda1", "lambda2", "norm1",
-    "khat_norm_bound", "thm43_bound", "pass_41", "pass_42", "pass_43",
-]
-
-
-def result_row(result: CellResult) -> list:
-    def num(x):
-        return "nan" if isinstance(x, float) and math.isnan(x) else repr(float(x))
-
-    return [
-        str(result.n), result.j_label(), str(result.m), str(result.seed),
-        num(result.lambda1), num(result.lambda2), num(result.norm1),
-        num(result.khat_norm_bound), num(result.thm43_bound),
-        str(int(result.pass_41)), str(int(result.pass_42)), str(int(result.pass_43)),
-    ]

@@ -353,7 +353,7 @@ class Ensemble:
 
 
 def build_ensemble(states, n):
-    """The ensemble of a stored chain (``run_chain``'s uint64 states) on ``n`` sites, decoded in one piece."""
+    """The ensemble of a stored chain (uint64 states) on ``n`` sites, decoded in one piece."""
     from isingring.dynamics import decode_states
 
     spins = decode_states(states, n).astype(np.float64)

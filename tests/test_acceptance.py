@@ -21,7 +21,6 @@ from isingring import (
     INFINITE,
     WOLFF,
     Configuration,
-    InitialLaw,
     ModelParams,
     RngStream,
     build_glauber_kernel,
@@ -36,10 +35,10 @@ from isingring import (
     exact_limit_covariance,
     gershgorin_norm,
     gibbs_measure,
+    iter_chain,
     khat_norm_bound,
     lsi_constant_bound,
     poincare_constant_bound,
-    run_chain,
     run_covariance_chain,
     sample_stationary_many,
     subcritical_norm_bound,
@@ -186,8 +185,8 @@ def test_criterion_6_critical_point_spectra():
         for rep in range(50):
             initial = Configuration(int(gen.integers(0, 1 << n)), n)
             ctilde = decompose(initial).plus_count
-            traj = run_chain(InitialLaw.fixed(initial), m, WOLFF, params,
-                             RngStream(SEED, 6100 + n * 100 + rep))
+            chain = iter_chain(initial.bits, m, WOLFF, params, RngStream(SEED, 6100 + n * 100 + rep))
+            traj = np.fromiter(chain, np.uint64, count=m)
             hit = 1 + next(k for k, bits in enumerate(traj) if bits in (0, full))
             ok = ok and hit == (1 if initial.is_aligned else ctilde + 1)
             post = traj[hit - 1 :]
@@ -199,7 +198,8 @@ def test_criterion_6_critical_point_spectra():
             ok = ok and values[1] <= n / m + 1e-12
         # exact alternation over a longer window: 1000 steps past the hit
         initial = Configuration(int(gen.integers(0, 1 << n)), n)
-        traj = run_chain(InitialLaw.fixed(initial), n + 1000, WOLFF, params, RngStream(SEED, 6500 + n))
+        chain = iter_chain(initial.bits, n + 1000, WOLFF, params, RngStream(SEED, 6500 + n))
+        traj = np.fromiter(chain, np.uint64, count=n + 1000)
         hit_at = next(k for k, bits in enumerate(traj) if bits in (0, full))
         post = traj[hit_at:]
         ok = ok and all(post[k + 1] == post[k] ^ full for k in range(len(post) - 1))

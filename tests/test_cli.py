@@ -10,7 +10,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isingring import INFINITE, InitialLaw, ModelParams, RngStream, __version__, iter_chain
+from isingring import INFINITE, ModelParams, RngStream, __version__, iter_chain
 from isingring.cli import RunConfig, _ergodic_sums, main, parse_config, parse_j_hat, UsageError
 from isingring.clusters import plus_component_count
 from isingring.dynamics import CHAIN_DRAW_BLOCK, STORAGE_BUDGET, _uniform_states
@@ -319,7 +319,7 @@ class TestExitCodes:
         import isingring.cli as cli
 
         real = cli.hitting_time_aligned
-        monkeypatch.setattr(cli, "hitting_time_aligned", lambda initial, rng: real(initial, rng) - 1)
+        monkeypatch.setattr(cli, "hitting_time_aligned", lambda bits, n, rng: real(bits, n, rng) - 1)
         assert main(["hitting", "--n", "7", "--count", "40", "--out", str(tmp_path)]) == 1
         rows = [line.split(",") for line in (tmp_path / "hitting.csv").read_text().splitlines()[1:-2]]
         assert rows and all(row[4] == "0" for row in rows)
@@ -446,7 +446,7 @@ class TestParallelismAndArtifacts:
     ], ids=["sweep", "spectra"])
     def test_grid_rows_follow_the_unit_stream_map(self, argv, units, tmp_path):
         from isingring import WOLFF, ExperimentCell, ModelParams, RngStream, evaluate_cell, run_covariance_chain
-        from isingring.spectra import result_row
+        from isingring.cli import result_row
 
         main(argv + ["--out", str(tmp_path)])
         rows = [line.split(",") for line in (tmp_path / f"{argv[0]}.csv").read_text().splitlines()[1:-2]]
@@ -456,6 +456,22 @@ class TestParallelismAndArtifacts:
             run = run_covariance_chain(ModelParams(n, j), m, WOLFF, RngStream(seed, unit))
             expected.append(result_row(evaluate_cell(cell, run, seed)))
         assert rows == expected
+
+    def test_spectra_replicas_run_in_bounded_memory(self, tmp_path):
+        # a unit keeps its CellResult and two batch-norm numbers, not its 20
+        # batch matrices (0.65 MiB at n = 64), so the peak does not grow with --replicas
+        import tracemalloc
+
+        peaks = []
+        for replicas in (4, 64):
+            tracemalloc.start()
+            try:
+                main(["spectra", "--n", "64", "--j-hat", "0.5", "--m", "40", "--replicas", str(replicas),
+                      "--out", str(tmp_path)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * 2**20
 
     def test_spectra_save_matrix_round_trip(self, tmp_path):
         import numpy as np
@@ -474,7 +490,7 @@ class TestParallelismAndArtifacts:
 def test_ergodic_sums_equal_the_per_state_sums(n, kind, j_hat):
     # simulate's block reduction (n <= 64) and per-int loop (n > 64) give
     # the same floats as one += per state, across accumulate-block edges
-    law = InitialLaw.uniform_random() if j_hat is INFINITE else InitialLaw.stationary()
+    law = "uniform" if j_hat is INFINITE else "stationary"
     params = ModelParams(n, j_hat)
     for m in (1, 8191, 8192, 8193, 20000):
         states = list(iter_chain(law, m, kind, params, RngStream(3, m)))

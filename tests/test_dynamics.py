@@ -10,9 +10,8 @@ from isingring import (
     WOLFF,
     Configuration,
     CriticalCouplingError,
-    InitialLaw,
+    INITIAL_LAWS,
     ModelParams,
-    ResourceLimitError,
     RngStream,
     build_glauber_kernel,
     decompose,
@@ -21,7 +20,6 @@ from isingring import (
     gibbs_measure,
     hitting_time_aligned,
     iter_chain,
-    run_chain,
     sample_stationary,
     sample_stationary_many,
     two_point_correlation,
@@ -33,7 +31,6 @@ from isingring.dynamics import (
     _arc_draws,
     _arc_flip_masks,
     _arc_runs,
-    _chain_bits,
     _glauber_flip_probs,
     _uniform_states,
     _wolff_arc_block,
@@ -66,7 +63,7 @@ class TestWolffStep:
         params = ModelParams(7, 0.0)
         gen = RngStream(1).generator()
         cfg = Configuration.from_spins([1, -1, 1, 1, -1, -1, 1])
-        states = run_chain(InitialLaw.fixed(cfg), 501, WOLFF, params, gen).tolist()
+        states = list(iter_chain(cfg.bits, 501, WOLFF, params, gen))
         seen_sites = set()
         for a, b in zip(states, states[1:]):
             diff = a ^ b
@@ -79,7 +76,7 @@ class TestWolffStep:
         for j in (0.0, 0.3, 1.0):
             params = ModelParams(6, j)
             cfg = Configuration.from_spins([1, 1, -1, 1, -1, -1])
-            states = run_chain(InitialLaw.fixed(cfg), 101, WOLFF, params, gen).tolist()
+            states = list(iter_chain(cfg.bits, 101, WOLFF, params, gen))
             for a, b in zip(states, states[1:]):
                 assert a != b
 
@@ -89,7 +86,7 @@ class TestWolffStep:
         params = ModelParams(8, 0.7)
         gen = RngStream(3).generator()
         cfg = Configuration.from_spins([1, 1, -1, 1, -1, -1, 1, 1])
-        states = run_chain(InitialLaw.fixed(cfg), 301, WOLFF, params, gen).tolist()
+        states = list(iter_chain(cfg.bits, 301, WOLFF, params, gen))
         for a, b in zip(states, states[1:]):
             flipped = [k + 1 for k in range(8) if (a ^ b) >> k & 1]
             values = {Configuration(a, 8).spin(s) for s in flipped}
@@ -137,7 +134,7 @@ class TestGlauberStep:
 
     def test_critical_rejected(self):
         with pytest.raises(CriticalCouplingError):
-            iter_chain(InitialLaw.all_plus(), 2, GLAUBER, ModelParams(4, INFINITE), RngStream(0))
+            iter_chain("all-plus", 2, GLAUBER, ModelParams(4, INFINITE), RngStream(0))
 
     def test_heat_bath_odds_overflow_raises_naming_the_coupling(self):
         # e^{2J} is finite at J = 354 and overflows from about 354.9, where the odds would read inf/inf = NaN
@@ -150,53 +147,74 @@ class TestChains:
     def test_single_step_trajectory_is_initial(self):
         params = ModelParams(5, 0.5)
         cfg = Configuration.from_spins([1, 1, -1, 1, -1])
-        traj = run_chain(InitialLaw.fixed(cfg), 1, WOLFF, params, RngStream(8))
-        assert len(traj) == 1
-        assert Configuration(int(traj[0]), 5) == cfg
+        # any operator.index start is taken as its Python int
+        for start in (cfg.bits, np.uint64(cfg.bits), np.int8(cfg.bits)):
+            traj = list(iter_chain(start, 1, WOLFF, params, RngStream(8)))
+            assert traj == [cfg.bits] and type(traj[0]) is int
 
     def test_determinism(self):
         params = ModelParams(8, 0.8)
-        law = InitialLaw.uniform_random()
-        a = run_chain(law, 300, WOLFF, params, RngStream(9, 2))
-        b = run_chain(law, 300, WOLFF, params, RngStream(9, 2))
-        c = run_chain(law, 300, WOLFF, params, RngStream(9, 3))
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_iter_chain_matches_run_chain(self):
-        params = ModelParams(6, 0.4)
-        law = InitialLaw.all_plus()
-        stored = run_chain(law, 50, GLAUBER, params, RngStream(10))
-        streamed = list(iter_chain(law, 50, GLAUBER, params, RngStream(10)))
-        assert stored.tolist() == streamed
+        a = list(iter_chain("uniform", 300, WOLFF, params, RngStream(9, 2)))
+        b = list(iter_chain("uniform", 300, WOLFF, params, RngStream(9, 2)))
+        c = list(iter_chain("uniform", 300, WOLFF, params, RngStream(9, 3)))
+        assert a == b
+        assert a != c
 
     @pytest.mark.parametrize("steps, kind", [(0, WOLFF), (-3, GLAUBER), (10, "metropolis")])
     def test_iter_chain_rejects_bad_arguments_at_the_call(self, steps, kind):
+        # a stationary start is drawn only after every argument is checked
+        gen, twin = RngStream(10).generator(), RngStream(10).generator()
         with pytest.raises(ValueError):
-            iter_chain(InitialLaw.all_plus(), steps, kind, ModelParams(6, 0.4), RngStream(10))
+            iter_chain("stationary", steps, kind, ModelParams(6, 0.4), gen)
+        assert gen.random() == twin.random()
+
+    @pytest.mark.parametrize("initial, kind, j, error", [
+        (1 << 6, WOLFF, 0.4, ValueError),
+        (-1, GLAUBER, 0.4, ValueError),
+        ("gibbs", WOLFF, 0.4, ValueError),
+        (2.0, WOLFF, 0.4, TypeError),
+        ("stationary", WOLFF, INFINITE, CriticalCouplingError),
+    ])
+    def test_a_bad_start_raises_at_the_call_before_any_draw(self, initial, kind, j, error):
+        gen, twin = RngStream(10).generator(), RngStream(10).generator()
+        with pytest.raises(error):
+            iter_chain(initial, 10, kind, ModelParams(6, j), gen)
+        assert gen.random() == twin.random()
+
+    @pytest.mark.parametrize("law, kind, j", [
+        (law, kind, j) for law in INITIAL_LAWS for kind, j in ((WOLFF, 0.7), (GLAUBER, 0.7), (WOLFF, INFINITE))
+        if not (law == "stationary" and j is INFINITE)  # no Gibbs measure at 'inf'
+    ], ids=str)
+    @pytest.mark.parametrize("n", [2, 5, 64, 100])
+    def test_a_named_start_is_its_draw_then_the_chain_from_its_bits(self, law, kind, j, n):
+        # the law's draw comes first on the chain's generator, then the steps, draw for draw
+        params = ModelParams(n, j)
+        gen, ref = RngStream(36, n).generator(), RngStream(36, n).generator()
+        named = list(iter_chain(law, 300, kind, params, gen))
+        if law == "stationary":
+            start = sample_stationary(params, ref).bits
+        elif law == "uniform":
+            start = _uniform_states(n, 1, ref)[0]
+        else:
+            start = (1 << n) - 1
+        assert named == list(iter_chain(start, 300, kind, params, ref))
+        assert gen.random() == ref.random()
 
     def test_critical_alternation_from_all_plus(self):
         params = ModelParams(4, INFINITE)
-        traj = run_chain(InitialLaw.all_plus(), 4, WOLFF, params, RngStream(11))
+        traj = list(iter_chain("all-plus", 4, WOLFF, params, RngStream(11)))
         full = (1 << 4) - 1
-        assert traj.tolist() == [full, 0, full, 0]
-
-    def test_storage_budget(self, monkeypatch):
-        monkeypatch.setattr("isingring.dynamics.STORAGE_BUDGET", 1000)
-        params = ModelParams(4, 0.5)
-        with pytest.raises(ResourceLimitError):
-            run_chain(InitialLaw.all_plus(), 10**6, WOLFF, params, RngStream(12))
+        assert traj == [full, 0, full, 0]
 
     def test_ergodic_average_constant(self):
         params = ModelParams(4, 0.5)
-        traj = run_chain(InitialLaw.all_plus(), 25, WOLFF, params, RngStream(13))
-        configs = (Configuration(int(b), 4) for b in traj)
+        configs = (Configuration(b, 4) for b in iter_chain("all-plus", 25, WOLFF, params, RngStream(13)))
         assert oracle.ergodic_average(lambda c: 3.25, configs) == pytest.approx(3.25)
 
     def test_ergodic_average_magnetization_decays(self):
         params = ModelParams(6, 0.5)
-        traj = run_chain(InitialLaw.all_plus(), 20000, WOLFF, params, RngStream(14))
-        mag = oracle.ergodic_average(lambda c: sum(c.spins()) / 6, (Configuration(int(b), 6) for b in traj))
+        traj = iter_chain("all-plus", 20000, WOLFF, params, RngStream(14))
+        mag = oracle.ergodic_average(lambda c: sum(c.spins()) / 6, (Configuration(b, 6) for b in traj))
         assert abs(mag) < 0.05
 
     def test_ergodic_average_pair_correlation(self):
@@ -207,26 +225,33 @@ class TestChains:
         exact = two_point_correlation(1, 2, params)
         avg = oracle.ergodic_average(
             lambda c: c.spin(1) * c.spin(2),
-            (Configuration(b, n) for b in iter_chain(InitialLaw.stationary(), m, WOLFF, params, RngStream(15))),
+            (Configuration(b, n) for b in iter_chain("stationary", m, WOLFF, params, RngStream(15))),
         )
         assert (avg - exact) ** 2 <= 16 * traj_bound
 
 
 class TestHitting:
     def test_aligned_start(self):
-        assert hitting_time_aligned(Configuration(0, 6), RngStream(16)) == 1
+        assert hitting_time_aligned(0, 6, RngStream(16)) == 1
+
+    @pytest.mark.parametrize("bits, error", [(1 << 6, ValueError), (-1, ValueError), ("all-plus", TypeError)])
+    def test_a_bad_start_raises_before_any_draw(self, bits, error):
+        gen, twin = RngStream(24).generator(), RngStream(24).generator()
+        with pytest.raises(error):
+            hitting_time_aligned(bits, 6, gen)
+        assert gen.random() == twin.random()
 
     def test_alternating_start(self):
         cfg = Configuration.from_spins([1, -1, 1, -1, 1, -1])
         ctilde = decompose(cfg).plus_count
         assert ctilde == 3
-        hits = {hitting_time_aligned(cfg, RngStream(17, s)) for s in range(100)}
+        hits = {hitting_time_aligned(cfg.bits, cfg.n, RngStream(17, s)) for s in range(100)}
         assert hits == {ctilde + 1}
 
     def test_single_minus_arc(self):
         cfg = Configuration.from_spins([1, 1, -1, -1, 1, 1, 1])
         assert decompose(cfg).plus_count == 1
-        hits = {hitting_time_aligned(cfg, RngStream(18, s)) for s in range(50)}
+        hits = {hitting_time_aligned(cfg.bits, cfg.n, RngStream(18, s)) for s in range(50)}
         assert hits == {2}
 
     @pytest.mark.parametrize("spins", [[1, -1, 1, -1, 1, -1], [1, 1, -1, 1, -1, -1, -1, 1]])
@@ -247,7 +272,7 @@ class TestHitting:
             return out
 
         monkeypatch.setattr(dynamics, "_wolff_arc_block", block)
-        assert hitting_time_aligned(cfg, RngStream(20)) == steps + 1
+        assert hitting_time_aligned(cfg.bits, cfg.n, RngStream(20)) == steps + 1
         assert len(taken) <= cfg.n + 1
 
     def test_a_callers_generator_moves_as_at_version_0_5_0(self):
@@ -260,7 +285,7 @@ class TestHitting:
         for k, bits in enumerate(starts):
             if k % 5 == 0:
                 bits = (0, full)[k // 5 % 2]
-            hitting_time_aligned(Configuration(bits, n), gen)
+            hitting_time_aligned(bits, n, gen)
         assert gen.random() == 0.25776633192789056
 
     @pytest.mark.parametrize("n", [2, 3, 7, 48, 63])
@@ -269,7 +294,7 @@ class TestHitting:
         full = (1 << n) - 1
         for bits in (0, full, 1, full >> 1, RngStream(22, n).generator().integers(1, full)):
             gen, twin = RngStream(22).generator(), RngStream(22).generator()
-            hitting_time_aligned(Configuration(int(bits), n), gen)
+            hitting_time_aligned(bits, n, gen)
             if bits not in (0, full):
                 twin.integers(0, n, size=n + 1)
                 twin.random(2 * (n + 1))
@@ -295,7 +320,7 @@ class TestHitting:
             ctilde = decompose(Configuration(bits, n)).plus_count
             gen, twin = RngStream(23, 100 + s).generator(), RngStream(23, 100 + s).generator()
             calls.clear()
-            assert hitting_time_aligned(Configuration(bits, n), gen) == ctilde + 1
+            assert hitting_time_aligned(bits, n, gen) == ctilde + 1
             assert max(calls) <= HIT_STEP_CHUNK
             assert sum(calls) == ctilde
             if n <= 64:
@@ -308,8 +333,8 @@ class TestHitting:
         params = ModelParams(8, INFINITE)
         gen = RngStream(19).generator()
         cfg = Configuration.from_spins([1, -1, -1, 1, 1, -1, 1, 1])
-        hit = hitting_time_aligned(cfg, RngStream(19, 1))
-        traj = run_chain(InitialLaw.fixed(cfg), hit + 1000, WOLFF, params, RngStream(19, 2))
+        hit = hitting_time_aligned(cfg.bits, cfg.n, RngStream(19, 1))
+        traj = list(iter_chain(cfg.bits, hit + 1000, WOLFF, params, RngStream(19, 2)))
         full = (1 << 8) - 1
         post = traj[hit - 1 :]
         assert post[0] in (0, full)
@@ -513,7 +538,7 @@ def test_chain_draw_blocks_are_cut_at_the_steps_remaining(kind):
     n = 12
     params = ModelParams(n, 0.7)
     gen = RngStream(32).generator()
-    chain = list(_chain_bits(5, CHAIN_DRAW_BLOCK + 10, kind, params, gen))
+    chain = list(iter_chain(5, CHAIN_DRAW_BLOCK + 10, kind, params, gen))
     ref = RngStream(32).generator()
     bits, expected = 5, [5]
     for count in (CHAIN_DRAW_BLOCK, 9):
@@ -537,23 +562,15 @@ def test_chain_draw_blocks_are_cut_at_the_steps_remaining(kind):
                                      (GLAUBER, 0.0), (GLAUBER, 0.5), (GLAUBER, 1.5), (GLAUBER, 300.0)],
                          ids=lambda v: "inf" if v is INFINITE else str(v))
 def test_block_chains_match_the_per_step_chain(kind, j, n, length):
-    # the block loops step exactly as one call per step did, draw for draw,
-    # through _chain_bits and, where states fit a uint64, through run_chain
+    # the block loops step exactly as one call per step did, draw for draw
     params = ModelParams(n, j)
     law = derived_constants(params).bond_prob if kind == WOLFF else _glauber_flip_probs(j).tolist()
     start = int.from_bytes(RngStream(33, n).generator().bytes(8 + n // 8), "little") & ((1 << n) - 1)
     ref = RngStream(34).generator()
     expected = oracle.per_step_chain_bits(start, length, kind, n, law, ref)
     gen = RngStream(34).generator()
-    assert np.array_equal(np.array(list(_chain_bits(start, length, kind, params, gen)), dtype=object),
-                          np.array(expected, dtype=object))
-    after = ref.random()
-    assert gen.random() == after  # nothing drawn beyond the chain's own steps
-    if n <= 64:
-        gen = RngStream(34).generator()
-        traj = run_chain(InitialLaw.fixed(Configuration(start, n)), length, kind, params, gen)
-        assert np.array_equal(traj, np.array(expected, dtype=np.uint64))
-        assert gen.random() == after
+    assert list(iter_chain(start, length, kind, params, gen)) == expected
+    assert gen.random() == ref.random()  # nothing drawn beyond the chain's own steps
 
 
 @pytest.mark.parametrize("kind", [WOLFF, GLAUBER])
@@ -564,7 +581,7 @@ def test_large_ring_streaming(kind):
     exact = two_point_correlation(1, 2, params)
     total = 0.0
     count = 0
-    for bits in iter_chain(InitialLaw.stationary(), 400, kind, params, RngStream(29)):
+    for bits in iter_chain("stationary", 400, kind, params, RngStream(29)):
         spins = Configuration(bits, n).spins()
         total += sum(spins[i] * spins[(i + 1) % n] for i in range(n)) / n
         count += 1
@@ -579,7 +596,7 @@ def test_long_run_total_variation(kind):
     params = ModelParams(n, j)
     mu = gibbs_measure(params).probabilities
     counts = np.zeros(1 << n)
-    for bits in iter_chain(InitialLaw.all_plus(), m, kind, params, RngStream(28)):
+    for bits in iter_chain("all-plus", m, kind, params, RngStream(28)):
         counts[bits] += 1
     tv = 0.5 * np.abs(counts / m - mu).sum()
     assert tv <= 0.005

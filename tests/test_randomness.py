@@ -46,7 +46,7 @@ def test_out_of_range_seed_or_id_raises_before_any_draw(seed, streams):
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 48, 62, 63, 100])
 def test_batched_uniform_starts_equal_scalar_draws(seed, n):
-    # hitting draws its starts as one batch; InitialLaw and spectra at 'inf' draw one at a time
+    # hitting draws its starts as one batch; iter_chain's "uniform" start and spectra at 'inf' draw one at a time
     batched = _uniform_states(n, 300, RngStream(seed).generator())
     gen = RngStream(seed).generator()
     assert batched == [_uniform_states(n, 1, gen)[0] for _ in range(300)]

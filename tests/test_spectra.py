@@ -11,7 +11,6 @@ from isingring import (
     CovarianceAccumulator,
     CriticalCouplingError,
     ExperimentCell,
-    InitialLaw,
     ModelParams,
     RngStream,
     decompose,
@@ -19,14 +18,15 @@ from isingring import (
     evaluate_cell,
     exact_limit_covariance,
     gershgorin_norm,
+    iter_chain,
     khat_norm_bound,
-    run_chain,
     run_covariance_chain,
     subcritical_norm_bound,
     two_point_correlation,
 )
 from isingring.dynamics import _uniform_states
-from isingring.spectra import ACCUMULATE_BLOCK, CSV_COLUMNS, result_row
+from isingring.cli import CSV_COLUMNS, result_row
+from isingring.spectra import ACCUMULATE_BLOCK
 
 import _oracles as oracle
 
@@ -34,14 +34,14 @@ import _oracles as oracle
 class TestEnsemble:
     def test_single_column(self):
         params = ModelParams(9, 0.5)
-        traj = run_chain(InitialLaw.all_plus(), 1, WOLFF, params, RngStream(1))
+        traj = np.fromiter(iter_chain("all-plus", 1, WOLFF, params, RngStream(1)), np.uint64, count=1)
         ens = oracle.build_ensemble(traj, 9)
         assert ens.x.shape == (9, 1)
         assert np.linalg.norm(ens.x[:, 0]) == pytest.approx(1.0, rel=1e-14)
 
     def test_correlation_matrix_normalization(self):
         params = ModelParams(6, 0.4)
-        traj = run_chain(InitialLaw.uniform_random(), 40, WOLFF, params, RngStream(2))
+        traj = np.fromiter(iter_chain("uniform", 40, WOLFF, params, RngStream(2)), np.uint64, count=40)
         ens = oracle.build_ensemble(traj, 6)
         corr = oracle.correlation_matrix(ens)
         assert np.trace(corr) == pytest.approx(1.0, rel=1e-13)
@@ -49,7 +49,7 @@ class TestEnsemble:
 
     def test_covariance_and_correlation_share_spectrum(self):
         params = ModelParams(6, 0.4)
-        traj = run_chain(InitialLaw.uniform_random(), 12, WOLFF, params, RngStream(3))
+        traj = np.fromiter(iter_chain("uniform", 12, WOLFF, params, RngStream(3)), np.uint64, count=12)
         ens = oracle.build_ensemble(traj, 6)
         ev_k = eigenvalues_symmetric(oracle.covariance_matrix(ens))
         ev_c = eigenvalues_symmetric(oracle.correlation_matrix(ens))
@@ -243,7 +243,7 @@ class TestCovarianceRuns:
         m = 10007
         assert m > ACCUMULATE_BLOCK
         run = run_covariance_chain(params, m, kind, RngStream(15, n))
-        traj = run_chain(InitialLaw.stationary(), m, kind, params, RngStream(15, n))
+        traj = np.fromiter(iter_chain("stationary", m, kind, params, RngStream(15, n)), np.uint64, count=m)
         np.testing.assert_allclose(run.matrix, oracle.covariance_matrix(oracle.build_ensemble(traj, n)), rtol=0, atol=1e-13)
 
     def test_simulated_covariance_matches_exact_limit_entrywise(self):

@@ -2,18 +2,21 @@
 
     python3 tools/time_chain_steps.py [--src SRC]
 
-Imports ``isingring`` from ``SRC`` (default: this checkout's ``src``), so two
-trees can be timed on one host with one script. Each chain case streams a
-chain of the case's number of states through ``iter_chain`` from a fixed start
-``REPEATS`` times; the time of a run divided by its steps is one sample. The
-rings past 64 sites check that the block loops, whose masks grow with n, do
-not lose to the parent there. The hitting case runs
-``hitting_time_aligned`` from the ``HITTING_STARTS`` starts that
-``isingring hitting --seed 0`` draws, start k on the generator of stream
-k + 1 as that command takes it (from ``keyed_generators`` in trees that have
-it, else ``RngStream(0, k + 1)``), ``REPEATS`` times; the time of a run
-divided by its starts is one sample. Prints one JSON object: per case, the samples and their median
-and quartiles, in microseconds per step or per start.
+Imports ``isingring`` from ``SRC`` (default: this checkout's ``src``). The
+tree must take chain starts as bits: ``iter_chain`` with Y_1 as an int and
+``hitting_time_aligned(bits, n, rng)``. An older tree, whose chain entry
+points take start objects instead, is timed with its own copy of this
+script. Each chain case streams a chain of the case's number of states
+through ``iter_chain`` from a fixed start ``REPEATS`` times; the time of a
+run divided by its steps is one sample. The rings past 64 sites check that
+the block loops, whose masks grow with n, do not lose to the parent there.
+The hitting case runs ``hitting_time_aligned`` from the ``HITTING_STARTS``
+starts that ``isingring hitting --seed 0`` draws, start k on the generator
+of stream k + 1 as that command takes it (from ``keyed_generators`` in
+trees that have it, else ``RngStream(0, k + 1)``), ``REPEATS`` times; the
+time of a run divided by its starts is one sample. Prints one JSON object:
+per case, the samples and their median and quartiles, in microseconds per
+step or per start.
 """
 
 import argparse
@@ -46,11 +49,11 @@ HITTING_STARTS = 2000
 REPEATS = 3
 
 
-def _run_hitting(starts, hitting_time_aligned, replica_gens) -> float:
-    """Seconds for one pass of ``hitting_time_aligned`` over ``starts``, start k on stream k + 1."""
+def _run_hitting(starts, n, hitting_time_aligned, replica_gens) -> float:
+    """Seconds for one pass of ``hitting_time_aligned`` over the n-bit ``starts``, start k on stream k + 1."""
     t0 = time.perf_counter()
-    for initial, gen in zip(starts, replica_gens(len(starts))):
-        hitting_time_aligned(initial, gen)
+    for bits, gen in zip(starts, replica_gens(len(starts))):
+        hitting_time_aligned(bits, n, gen)
     return time.perf_counter() - t0
 
 
@@ -59,7 +62,7 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    from isingring import INFINITE, Configuration, InitialLaw, ModelParams, RngStream, hitting_time_aligned, iter_chain
+    from isingring import INFINITE, ModelParams, RngStream, hitting_time_aligned, iter_chain
     from isingring import randomness
 
     if hasattr(randomness, "keyed_generators"):
@@ -74,17 +77,17 @@ def main(argv=None) -> int:
         samples = []
         if kind == "hitting":
             gen = RngStream(0).generator()
-            starts = [Configuration(int(gen.integers(0, 1 << n)), n) for _ in range(HITTING_STARTS)]
-            _run_hitting(starts[:200], hitting_time_aligned, replica_gens)  # warm up
+            starts = [int(gen.integers(0, 1 << n)) for _ in range(HITTING_STARTS)]
+            _run_hitting(starts[:200], n, hitting_time_aligned, replica_gens)  # warm up
             for r in range(REPEATS):
-                samples.append(1e6 * _run_hitting(starts, hitting_time_aligned, replica_gens) / HITTING_STARTS)
+                samples.append(1e6 * _run_hitting(starts, n, hitting_time_aligned, replica_gens) / HITTING_STARTS)
         else:
             params = ModelParams(n, INFINITE if j == "inf" else j)
-            law = InitialLaw.fixed(Configuration(0b1011 << (n // 2), n))
-            collections.deque(iter_chain(law, states // 10, kind, params, RngStream(1)), maxlen=0)  # warm up
+            start = 0b1011 << (n // 2)
+            collections.deque(iter_chain(start, states // 10, kind, params, RngStream(1)), maxlen=0)  # warm up
             for r in range(REPEATS):
                 t0 = time.perf_counter()
-                collections.deque(iter_chain(law, states, kind, params, RngStream(2, r)), maxlen=0)
+                collections.deque(iter_chain(start, states, kind, params, RngStream(2, r)), maxlen=0)
                 samples.append(1e6 * (time.perf_counter() - t0) / (states - 1))
         q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
         out[name] = {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
