@@ -44,6 +44,7 @@ from .clusters import plus_component_count
 from .dynamics import (
     CHAIN_DRAW_BLOCK,
     GLAUBER,
+    HIT_STEP_CHUNK,
     INITIAL_LAWS,
     STORAGE_BUDGET,
     WOLFF,
@@ -304,10 +305,14 @@ def _validate(config: RunConfig):
             raise UsageError(f"need m >= {min_m} at finite coupling, two states per batch for the {DEFAULT_BATCHES} "
                              "batch means (sweep runs m = n^3, so every size must be >= 4)")
     if config.command in ("simulate", "hitting"):
-        # simulate holds one draw block of states; hitting keeps the cap of a replica's n + 1 steps
-        held = v["n"] + 1 if config.command == "hitting" else CHAIN_DRAW_BLOCK
-        if held * v["n"] > 8 * STORAGE_BUDGET:
-            raise UsageError(f"n={v['n']} is too large for {config.command}: {held} n-bit states exceed {STORAGE_BUDGET} bytes")
+        # simulate holds one draw block of states; hitting one block of starts, a replica's chunk of states and its draws
+        held, what = CHAIN_DRAW_BLOCK * v["n"], f"{CHAIN_DRAW_BLOCK} n-bit states"
+        if config.command == "hitting":
+            starts = min(v["count"], CHAIN_DRAW_BLOCK)
+            held = (starts + HIT_STEP_CHUNK) * v["n"] + 3 * 64 * (v["n"] + 1)
+            what = f"{starts} n-bit starts, {HIT_STEP_CHUNK} n-bit states and 3(n + 1) 64-bit draws"
+        if held > 8 * STORAGE_BUDGET:
+            raise UsageError(f"n={v['n']} is too large for {config.command}: {what} exceed {STORAGE_BUDGET} bytes")
     if config.command == "hitting":
         if not 1 <= v["count"] <= MAX_HITTING_COUNT:
             raise UsageError(f"need 1 <= --count <= {MAX_HITTING_COUNT}: replica k draws stream k + 1, "

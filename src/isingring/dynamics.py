@@ -2,43 +2,26 @@
 updates, chain runners, exact stationary sampling, and critical-point hitting
 times. Every sampler takes and returns bit-packed states (bit b is site b+1).
 
-Starting laws, one draw each at any n: a uniform state is a row of one
-(count, ceil(n/64)) block of full-range uint64 words, most significant first
-and the first cut to its top bits (``_uniform_states``); Gibbs states take one
-(pending, n + 1) block of uniforms per attempt, and the rows with an odd
-domain-wall count are redrawn, in row order (``sample_stationary_many``).
-Both return n-bit ints.
-
 Every Wolff update comes from one arc-law engine. On the ring a Wolff
 cluster is an arc, and the stack growth is equivalent to truncated-geometric
 extensions right and left of a uniform seed: extending by g sites within the
 seed's component has probability bond_prob^g * bond_miss below the cap and
-bond_prob^cap at it. The law is written once on bit-packed states:
-``_wolff_arc_block`` on Python ints (any n) and its uint64 twin
-``_arc_runs`` + ``_arc_flip_masks`` (n <= 64). RNG consumption per step: one
-integer plus two uniforms, drawn in blocks of seeds, then right uniforms,
-then left uniforms (``_arc_draws``). Chains (``iter_chain``) draw one block
-of up to ``CHAIN_DRAW_BLOCK`` steps at a time and step it in one tight loop;
-``hitting_time_aligned`` draws one block of n + 1 steps, steps the c merges
-the plus-component count c predicts, and the rest only if none of those
-states is aligned, in chunks of ``HIT_STEP_CHUNK`` states.
-The kernel's bulk one-step sampler draws one block per call and uses the
-twin. The kernel's ``empirical_vs_exact`` checks the bulk sampler against
-the exact kernel rows; the stack algorithm, checked the same way, is an
-oracle in the test suite (``tests/_oracles.py``).
+bond_prob^cap at it. Each step draws one integer plus two uniforms, in blocks
+of seeds, then right, then left uniforms (``_arc_draws``). The law is written
+on Python ints at any n (``_wolff_arc_block``, the int loop), on the doubled
+wall mask at n <= 64 (``_wolff_wall_block``: bond k at bits k and k + n; it
+emits extents, which ``_arc_flip_masks`` and a running XOR turn into uint64
+states) and on uint64 arrays (``_arc_runs``, ``_arc_extents``,
+``_arc_flip_masks``), which the kernel's bulk one-step sampler uses; the
+stack algorithm is an oracle in ``tests/_oracles.py``. ``iter_chain`` steps
+blocks of up to ``CHAIN_DRAW_BLOCK`` draws by the wall loop at n <= 64 and
+the int loop above. ``hitting_time_aligned`` draws one block of n + 1 steps
+and steps it by the int loop, in chunks of ``HIT_STEP_CHUNK``, until aligned.
 
-Glauber paths read one heat-bath table, ``_glauber_flip_probs``; chains draw
-sites, then uniforms, in the Wolff blocks, turn each block's uniforms into
-flip thresholds in numpy (``_glauber_keys``) and step the block in one tight
-loop on the doubled frustrated-bond mask (``_doubled_bonds``,
-``_glauber_block``). The kernel's bulk one-step sampler reads the same keys
-and ``_GLAUBER_FLIPS`` table on the same mask.
-
-``iter_chain`` is the one chain driver. Y_1 is an n-bit int or is drawn by
-name from a law in ``INITIAL_LAWS`` on the chain's own generator, and the
-chain of either dynamics streams out as bit-packed ints, with no
-``Configuration`` per state; ``np.fromiter(chain, np.uint64, count=steps)``
-stores one at n <= 64.
+Glauber chains turn each block's uniforms into flip thresholds in numpy
+(``_glauber_keys``) and step it in one tight loop on the doubled
+frustrated-bond mask (``_doubled_bonds``, ``_glauber_block``); the kernel's
+bulk one-step sampler reads the same ``_GLAUBER_FLIPS`` table.
 """
 
 from __future__ import annotations
@@ -196,6 +179,42 @@ def _wolff_arc_block(bits: int, seeds, g_rights, g_lefts, n: int) -> list:
     return out
 
 
+def _wolff_wall_block(bits: int, seeds, g_right, g_left, n: int) -> np.ndarray:
+    """The arc law on the ``_arc_draws`` arrays from ``bits`` (n <= 64): the uint64 state after each step.
+
+    The loop carries ``walls`` (bond k at bits k and k + n) and emits extents. The runs end at the
+    first wall at or above bit seed and the last below bit seed + n; walls == 0 caps both at n - 1.
+    A flip toggles the arc's two boundary bonds (on a whole ring, one bond twice).
+    """
+    top = n - 1
+    bonds = bits ^ _rotated_bits(bits, n)
+    walls = bonds | bonds << n
+    low = [(1 << (seed + n)) - 1 for seed in range(n)]
+    toggle = [1 << k | 1 << (k + n) for k in range(n)] * 2
+    out = []
+    append = out.append
+    for seed, ext_r, ext_l in zip(seeds.tolist(), g_right.tolist(), g_left.tolist()):
+        x = walls >> seed
+        if x:
+            run = (x & -x).bit_length() - 1
+            if run < ext_r:
+                ext_r = run
+            run = seed + n - (walls & low[seed]).bit_length()
+            if run < ext_l:
+                ext_l = run
+        else:
+            if ext_r > top:
+                ext_r = top
+            if ext_l > top - ext_r:
+                ext_l = top - ext_r
+        walls ^= toggle[seed + ext_r] ^ toggle[seed - ext_l - 1]
+        append(ext_r << 8 | ext_l)
+    packed = np.array(out)
+    masks = _arc_flip_masks(seeds, packed >> 8, packed & 255, n)
+    masks[0] ^= np.uint64(bits)
+    return np.bitwise_xor.accumulate(masks, out=masks)
+
+
 def _arc_runs(states: np.ndarray, seeds: np.ndarray, n: int) -> tuple:
     """uint64 twin of the run lengths in ``_wolff_arc_block`` (n <= 64)."""
     one, full = np.uint64(1), np.uint64((1 << n) - 1)
@@ -210,17 +229,23 @@ def _arc_runs(states: np.ndarray, seeds: np.ndarray, n: int) -> tuple:
     return run_r.astype(np.int64), n - np.bitwise_count(smeared).astype(np.int64)
 
 
-def _arc_flip_masks(seeds, g_right, g_left, run_r, run_l, n: int) -> np.ndarray:
-    """uint64 twin of the extents and the flipped arc in ``_wolff_arc_block``.
-
-    Updates a few buffers in place: on trial-sized arrays, fresh temporaries
-    cost more in page faults than the arithmetic does.
-    """
-    one = np.uint64(1)
+def _arc_extents(g_right, g_left, run_r, run_l, n: int) -> tuple:
+    """uint64 twin of the extents in ``_wolff_arc_block``: (ext_r, ext_l) as int64 arrays."""
     ext_r = np.minimum(g_right, run_r)
     np.minimum(ext_r, n - 1, out=ext_r)
     ext_l = np.minimum(g_left, run_l)
     np.minimum(ext_l, n - 1 - ext_r, out=ext_l)
+    return ext_r, ext_l
+
+
+def _arc_flip_masks(seeds, ext_r, ext_l, n: int) -> np.ndarray:
+    """uint64 masks of the flipped arcs, sites seed - ext_l .. seed + ext_r (mod n), n <= 64.
+
+    Overwrites the int64 arrays ``ext_r`` and ``ext_l`` and returns the masks
+    in ext_r's buffer: on trial-sized arrays, fresh temporaries cost more in
+    page faults than the arithmetic does.
+    """
+    one = np.uint64(1)
     ext_r += ext_l + 1
     arc = np.left_shift(one, ext_r.view(np.uint64), out=ext_r.view(np.uint64))
     arc -= one  # ext_l + ext_r + 1 low bits
@@ -235,7 +260,8 @@ def _arc_flip_masks(seeds, g_right, g_left, run_r, run_l, n: int) -> np.ndarray:
 
 
 def _uniform_states(n: int, count: int, gen: np.random.Generator) -> list:
-    """``count`` uniform n-bit states as ints (draw order above); ``gen.integers(0, 1 << n, size=count)`` at 33 <= n <= 63."""
+    """``count`` uniform n-bit states as ints, rows of one (count, ceil(n/64)) block of full-range uint64
+    words, most significant first and the first cut to its top bits (``gen.integers(0, 1 << n, size=count)`` at 33 <= n <= 63)."""
     w = -(-n // 64)
     words = gen.integers(0, 2**64, size=(count, w), dtype=np.uint64)
     words[:, 0] >>= np.uint64(64 * w - n)
@@ -246,10 +272,9 @@ def _uniform_states(n: int, count: int, gen: np.random.Generator) -> list:
 
 
 def decode_states(states: np.ndarray, n: int) -> np.ndarray:
-    """Bit-packed uint64 states -> (M, n) +-1 int8 matrix."""
-    arr = np.asarray(states, dtype=np.uint64)
-    bits = (arr[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1)
-    return (2 * bits.astype(np.int8) - 1).astype(np.int8)
+    """Bit-packed uint64 states -> (M, n) +-1 int8 matrix, unpacked from their little-endian bytes."""
+    data = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return 2 * np.unpackbits(data, axis=1, count=n, bitorder="little").view(np.int8) - 1
 
 
 def _state_bits(bits, n: int) -> int:
@@ -273,9 +298,9 @@ def iter_chain(initial, steps: int, kind: str, params: ModelParams, rng) -> Iter
     Both dynamics pre-draw blocks of at most ``CHAIN_DRAW_BLOCK`` steps, cut
     at the steps remaining, so a chain consumes exactly its own steps' draws.
     A block is drawn and stepped in one tight loop when the first of its
-    states is asked for: Wolff blocks by ``_wolff_arc_block`` on ``_arc_draws``,
-    Glauber blocks by ``_glauber_block`` on sites, then uniforms. The states
-    come out of a list, so ``np.fromiter`` pulls them at C speed.
+    states is asked for: Wolff blocks on ``_arc_draws`` by the wall loop (n <= 64)
+    or the int loop, Glauber blocks by ``_glauber_block`` on sites, then
+    uniforms. The states come out of a list, so ``np.fromiter`` pulls them at C speed.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -306,6 +331,8 @@ def iter_chain(initial, steps: int, kind: str, params: ModelParams, rng) -> Iter
             if kind == GLAUBER:
                 sites = gen.integers(0, n, size=count).tolist()
                 block = _glauber_block(last, sites, _glauber_keys(gen.random(count), flip_probs).tolist(), n)
+            elif n <= 64:
+                block = _wolff_wall_block(last, *_arc_draws(gen, count, n, bond_prob), n).tolist()
             else:
                 block = _wolff_arc_block(last, *(d.tolist() for d in _arc_draws(gen, count, n, bond_prob)), n)
             last = block[-1]
@@ -329,24 +356,23 @@ def hitting_time_aligned(bits, n: int, rng) -> int:
     states: n + 1 seeds, then n + 1 right and n + 1 left uniforms. At 'inf'
     the bond probability is 1, so both extensions are the cap n and the
     uniforms are drawn unread, which keeps a caller's generator in step with
-    the chain's. The first c draws, then the rest, are stepped by
-    ``_wolff_arc_block`` in chunks of at most ``HIT_STEP_CHUNK`` (at n <= 64
-    the first c in one call), and stepping stops at the first aligned state,
-    so the index returned is the one the chain reaches, not the one predicted,
-    and at most one chunk of states is held. An aligned start draws nothing.
+    the chain's. The first c draws, then the rest, are stepped by ``_wolff_arc_block``
+    in chunks of at most ``HIT_STEP_CHUNK`` (the first c in one at n <= 64) until
+    a state is aligned, so the index returned is the one the chain reaches, not
+    the predicted one, and one chunk is held at most. An aligned start draws nothing.
     """
     bits = _state_bits(bits, n)
     gen = as_generator(rng)
     full = (1 << n) - 1
     if bits == 0 or bits == full:
         return 1
-    seeds = gen.integers(0, n, size=n + 1).tolist()
+    seeds = gen.integers(0, n, size=n + 1)
     gen.random(2 * (n + 1))  # the right, then the left uniforms, unread
     caps = [n] * HIT_STEP_CHUNK
     predicted = plus_component_count(bits, n)
     cuts = [*range(0, predicted, HIT_STEP_CHUNK), *range(predicted, n + 1, HIT_STEP_CHUNK), n + 1]
     for lo, hi in zip(cuts, cuts[1:]):
-        for k, bits in enumerate(_wolff_arc_block(bits, seeds[lo:hi], caps, caps, n), start=lo + 2):
+        for k, bits in enumerate(_wolff_arc_block(bits, seeds[lo:hi].tolist(), caps, caps, n), start=lo + 2):
             if bits == 0 or bits == full:
                 return k
     # cannot happen: at most n/2 merges are needed

@@ -57,7 +57,7 @@ from .model import (
 )
 from .clusters import FlipSet, decompose, edge_boundary, is_connected, vertex_boundary
 from .dynamics import GLAUBER, WOLFF
-from .dynamics import _GLAUBER_FLIPS, _arc_draws, _arc_flip_masks, _arc_runs
+from .dynamics import _GLAUBER_FLIPS, _arc_draws, _arc_extents, _arc_flip_masks, _arc_runs
 from .dynamics import _doubled_bonds, _glauber_flip_probs, _glauber_keys
 from .randomness import as_generator
 
@@ -397,7 +397,7 @@ def _one_step_counts_bulk(
     if kernel.kind == WOLFF:
         seeds, g_right, g_left = _arc_draws(gen, trials, n, derived_constants(kernel.params).bond_prob)
         run_r, run_l = _arc_runs(np.full(n, state_bits, dtype=np.uint64), np.arange(n), n)
-        masks = _arc_flip_masks(seeds, g_right, g_left, run_r[seeds], run_l[seeds], n)
+        masks = _arc_flip_masks(seeds, *_arc_extents(g_right, g_left, run_r[seeds], run_l[seeds], n), n)
         masks ^= np.uint64(state_bits)
         return np.bincount(masks.view(np.int64), minlength=size)
     flip_probs = _glauber_flip_probs(kernel.params.require_finite("Glauber dynamics"))

@@ -33,11 +33,17 @@ DEFAULT_BATCHES = 20
 #: Covariance runs decode and accumulate at most this many states at once.
 ACCUMULATE_BLOCK = 8192
 
+#: ``add_spins`` multiplies at most this many rows at once, so its float32 products are exact.
+SPIN_PRODUCT_ROWS = 1 << 24
+
 
 class CovarianceAccumulator:
     """Streaming K += X_k X_k^T / M without storing the ensemble.
 
     Accepts blocks of +-1 spin rows; per-chain partials merge associatively.
+    Chunks of at most ``SPIN_PRODUCT_ROWS`` = 2^24 rows multiply in float32, exactly:
+    every partial sum of their +-1 products, in any order the BLAS takes, is an
+    integer of magnitude at most 2^24, so the float64 totals are those of float64.
     """
 
     def __init__(self, n: int):
@@ -47,10 +53,12 @@ class CovarianceAccumulator:
 
     def add_spins(self, block: np.ndarray):
         """block: (B, n) matrix of +-1 spins (rows are successive states)."""
-        b = np.asarray(block, dtype=np.float64)
+        b = np.asarray(block)
         if b.ndim != 2 or b.shape[1] != self.n:
             raise ValueError(f"expected a (B, {self.n}) block")
-        self.total += b.T @ b
+        for lo in range(0, b.shape[0], SPIN_PRODUCT_ROWS):
+            chunk = b[lo : lo + SPIN_PRODUCT_ROWS].astype(np.float32)
+            self.total += chunk.T @ chunk
         self.count += b.shape[0]
 
     def merge(self, other: "CovarianceAccumulator"):

@@ -14,7 +14,8 @@ The reference forms at the end of the module (stored-ensemble covariance,
 the stack Wolff step and its one-step counts, the single-function variance,
 the susceptibility row sum, the component form of the Glauber flip
 probability, the brute-force partition function, the covariance dump
-reader, the dense spectral decomposition) were once part of the package
+reader, the dense spectral decomposition, the broadcast state decoder)
+were once part of the package
 and only the tests read them; they use the package's data types and, where
 they say so, its enumeration helpers.
 """
@@ -350,6 +351,13 @@ class Ensemble:
     @property
     def m(self):
         return self.x.shape[1]
+
+
+def broadcast_decode_states(states, n):
+    """Bit-packed uint64 states -> (M, n) +-1 int8 matrix, one broadcast shift per bit."""
+    arr = np.asarray(states, dtype=np.uint64)
+    bits = (arr[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1)
+    return (2 * bits.astype(np.int8) - 1).astype(np.int8)
 
 
 def build_ensemble(states, n):

@@ -45,7 +45,7 @@ from isingring import (
     symmetrize_and_decompose,
     two_point_correlation,
 )
-from isingring.dynamics import _arc_draws, _arc_flip_masks, _arc_runs
+from isingring.dynamics import _arc_draws, _arc_extents, _arc_flip_masks, _arc_runs
 from isingring.functionals import SLACK_TOLERANCE, ratio_ascent_adversary, certify_lsi
 
 import _oracles as oracle
@@ -163,7 +163,7 @@ def test_criterion_5_ergodic_average_bound():
     # one draw block per step, stepped by the arc law's uint64 twin on the packed states
     for _ in range(m - 1):
         seeds, g_right, g_left = _arc_draws(gen, replicas, n, bond_prob)
-        states ^= _arc_flip_masks(seeds, g_right, g_left, *_arc_runs(states, seeds, n), n)
+        states ^= _arc_flip_masks(seeds, *_arc_extents(g_right, g_left, *_arc_runs(states, seeds, n), n), n)
         unlike += (states ^ (states >> one)) & one
     sums = m - 2.0 * unlike  # sum of s1*s2 over the m states, an exact integer as before
     deviations = sums / m - exact

@@ -13,15 +13,17 @@ from hypothesis import given, settings, strategies as st
 from isingring import INFINITE, ModelParams, RngStream, __version__, iter_chain
 from isingring.cli import RunConfig, _ergodic_sums, main, parse_config, parse_j_hat, UsageError
 from isingring.clusters import plus_component_count
-from isingring.dynamics import CHAIN_DRAW_BLOCK, STORAGE_BUDGET, _uniform_states
+from isingring.dynamics import CHAIN_DRAW_BLOCK, HIT_STEP_CHUNK, STORAGE_BUDGET, _uniform_states
 
 import _oracles as oracle
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
-#: The largest rings hitting (n + 1 states of n bits, one replica's steps) and
-#: simulate (one draw block of n-bit states) accept within the storage budget.
-LARGEST_HITTING_N = 46340
+#: The largest rings hitting (at --count 1, 1000 and above CHAIN_DRAW_BLOCK: a block of
+#: min(count, CHAIN_DRAW_BLOCK) n-bit starts, one replica's HIT_STEP_CHUNK n-bit states and
+#: its 3(n + 1) 64-bit draws) and simulate (one draw block of n-bit states) accept within
+#: the storage budget.
+LARGEST_HITTING_N = {1: 8355966, 1000: 1709779, 10**6: 493447}
 LARGEST_SIMULATE_N = 8 * STORAGE_BUDGET // CHAIN_DRAW_BLOCK
 
 
@@ -61,12 +63,19 @@ class TestParsing:
             parse_config(["sweep", "--j-hat", "0.5", "--n-list", "1,4"])
         with pytest.raises(UsageError):
             parse_config(["sweep", "--j-hat", "0.5", "--n-list", ","])
-        assert (LARGEST_HITTING_N + 1) * LARGEST_HITTING_N <= 8 * STORAGE_BUDGET
-        assert (LARGEST_HITTING_N + 2) * (LARGEST_HITTING_N + 1) > 8 * STORAGE_BUDGET
-        parse_config(["hitting", "--n", str(LARGEST_HITTING_N - 1)])
-        parse_config(["hitting", "--n", str(LARGEST_HITTING_N)])
-        with pytest.raises(UsageError, match=f"n={LARGEST_HITTING_N + 1} is too large for hitting"):
-            parse_config(["hitting", "--n", str(LARGEST_HITTING_N + 1)])
+        for count, largest in LARGEST_HITTING_N.items():
+            def bits(n):
+                return (min(count, CHAIN_DRAW_BLOCK) + HIT_STEP_CHUNK) * n + 3 * 64 * (n + 1)
+            assert bits(largest) <= 8 * STORAGE_BUDGET < bits(largest + 1)
+            argv = ["hitting", "--count", str(count), "--n"]
+            parse_config(argv + [str(largest - 1)])
+            parse_config(argv + [str(largest)])
+            with pytest.raises(UsageError, match=f"n={largest + 1} is too large for hitting: "
+                                                 f"{min(count, CHAIN_DRAW_BLOCK)} n-bit starts"):
+                parse_config(argv + [str(largest + 1)])
+        parse_config(["hitting", "--n", str(LARGEST_HITTING_N[1000])])  # the default --count is 1000
+        with pytest.raises(UsageError, match=f"n={LARGEST_HITTING_N[1000] + 1} is too large for hitting"):
+            parse_config(["hitting", "--n", str(LARGEST_HITTING_N[1000] + 1)])
         with pytest.raises(UsageError, match="is too large for hitting"):
             parse_config(["hitting", "--n", str(10**12)])
 
@@ -260,7 +269,7 @@ class TestExitCodes:
         parse_config(["spectra", "--n", "64", "--j-hat", "inf", "--m", "5"])
         parse_config(["sweep", "--j-hat", "0.5", "--n-list", "4,64"])
         parse_config(["hitting", "--n", "6", "--count", "1"])
-        parse_config(["hitting", "--n", str(LARGEST_HITTING_N), "--count", "1"])
+        parse_config(["hitting", "--n", str(LARGEST_HITTING_N[1]), "--count", "1"])
         parse_config(["hitting", "--n", "6", "--count", str(2**32 - 1)])
         parse_config(["lsi-verify", "--n", "4", "--j-hat", "0.5", "--functions", "0"])
         parse_config(["kernel-verify", "--n", "4", "--j-hat", "0.5", "--trials", "0"])
@@ -334,9 +343,10 @@ class TestExitCodes:
         assert [int(row[2]) for row in rows] == [plus_component_count(bits, n) for bits in starts]
         assert all(row[4] == "1" for row in rows)
 
-    def test_hitting_at_the_largest_ring(self, tmp_path):
-        # starts of 725 words; a replica steps HIT_STEP_CHUNK states of n bits at a time
-        n = str(LARGEST_HITTING_N)
+    def test_hitting_on_a_ring_of_725_words(self, tmp_path):
+        # a replica steps HIT_STEP_CHUNK states of n bits at a time; the largest rings the
+        # cap admits take O(n^2) word operations per replica, far too long to run here
+        n = "46340"
         assert main(["hitting", "--n", n, "--count", "2", "--out", str(tmp_path)]) == 0
         rows = [line.split(",") for line in (tmp_path / "hitting.csv").read_text().splitlines()[1:-2]]
         assert len(rows) == 2 and all(row[0] == n and row[4] == "1" for row in rows)

@@ -29,11 +29,13 @@ from isingring.dynamics import (
     CHAIN_DRAW_BLOCK,
     HIT_STEP_CHUNK,
     _arc_draws,
+    _arc_extents,
     _arc_flip_masks,
     _arc_runs,
     _glauber_flip_probs,
     _uniform_states,
     _wolff_arc_block,
+    _wolff_wall_block,
 )
 from isingring.functionals import lsi_constant_bound
 from isingring.kernel import _one_step_counts_bulk
@@ -45,7 +47,7 @@ def twin_step(states, params, gen):
     """One Wolff step of each packed uint64 state by the arc law's uint64 twin, on one draw block."""
     n = params.n
     seeds, g_right, g_left = _arc_draws(gen, len(states), n, derived_constants(params).bond_prob)
-    return states ^ _arc_flip_masks(seeds, g_right, g_left, *_arc_runs(states, seeds, n), n)
+    return states ^ _arc_flip_masks(seeds, *_arc_extents(g_right, g_left, *_arc_runs(states, seeds, n), n), n)
 
 
 def copies(cfg, rows):
@@ -522,6 +524,45 @@ def test_arc_law_engines_agree_on_random_rings(n, j, data):
               for b, seed, right, left in zip(states, *(x.tolist() for x in draws))]
     twin = twin_step(np.array(states, dtype=np.uint64), params, RngStream(35, stream).generator())
     assert scalar == twin.tolist() == [Configuration.from_spins(row.tolist()).bits for row in expected]
+
+
+def _alternating(n, phase):
+    return sum(1 << k for k in range(phase, n, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.one_of(st.sampled_from([2, 3, 63, 64]), st.integers(2, 64)),
+       j=st.sampled_from([0.0, 0.3, 0.5, 3.0, INFINITE]),
+       length=st.sampled_from([1, CHAIN_DRAW_BLOCK, CHAIN_DRAW_BLOCK + 1, 2 * CHAIN_DRAW_BLOCK + 1]),
+       data=st.data())
+def test_wall_loop_chains_match_the_arc_block(n, j, length, data):
+    # iter_chain at n <= 64 steps on the wall mask; _wolff_arc_block on the same
+    # draw blocks gives the same states, and both leave the generator in one place
+    full = (1 << n) - 1
+    start = data.draw(st.one_of(st.sampled_from([0, full, _alternating(n, 0), _alternating(n, 1)]),
+                                st.integers(0, full)), label="start")
+    stream = data.draw(st.integers(0, 2**32 - 1), label="stream")
+    bond_prob = derived_constants(ModelParams(n, j)).bond_prob
+    ref = RngStream(36, stream).generator()
+    expected = [start]
+    for done in range(0, length - 1, CHAIN_DRAW_BLOCK):
+        draws = _arc_draws(ref, min(CHAIN_DRAW_BLOCK, length - 1 - done), n, bond_prob)
+        expected += _wolff_arc_block(expected[-1], *(d.tolist() for d in draws), n)
+    gen = RngStream(36, stream).generator()
+    assert list(iter_chain(start, length, WOLFF, ModelParams(n, j), gen)) == expected
+    assert gen.random() == ref.random()
+
+
+def test_wall_loop_from_an_aligned_ring():
+    # the caps n - 1 apply: two whole-ring flips (ext_r + ext_l = n - 1) toggle no wall,
+    # then an arc of sites 0..7 makes two walls and a flip of site 3 two more
+    n = 12
+    full = (1 << n) - 1
+    for bits in (0, full):
+        draws = [np.array(x) for x in ([3, 3, 3, 3], [n, 11, 4, 0], [n, 0, 3, 0])]
+        states = _wolff_wall_block(bits, *draws, n).tolist()
+        assert states == _wolff_arc_block(bits, *(x.tolist() for x in draws), n)
+        assert states == [bits ^ full, bits, bits ^ 0xFF, bits ^ 0xF7]
 
 
 def _glauber_by_hand(bits, site, u, n, j_hat):

@@ -26,6 +26,8 @@ from isingring import (
 )
 from isingring.dynamics import _uniform_states
 from isingring.cli import CSV_COLUMNS, result_row
+from isingring import spectra
+from isingring.dynamics import decode_states
 from isingring.spectra import ACCUMULATE_BLOCK
 
 import _oracles as oracle
@@ -114,6 +116,43 @@ class TestCovariance:
         merged.merge(partials[1])
         merged.merge(partials[2])
         np.testing.assert_allclose(merged.matrix(), whole.matrix(), atol=1e-15)
+
+
+class TestExactAccumulation:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_decode_matches_the_broadcast_decoder(self, n):
+        gen = np.random.default_rng(n)
+        words = gen.integers(0, 2**64, size=301, dtype=np.uint64)
+        words[:4] = [0, 2**64 - 1, 1, 2**63]
+        states = words >> np.uint64(64 - n)
+        for layout in (states, states[::3], states.astype(">u8"), states.astype(">u8")[1::2], states[:0]):
+            got = decode_states(layout, n)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, oracle.broadcast_decode_states(layout, n))
+
+    @pytest.mark.parametrize("rows", [0, 1, 6, 7, 8, 20, 701])
+    def test_float32_chunks_equal_the_float64_product(self, monkeypatch, rows):
+        # every chunk boundary: 7 rows per product, and a fresh accumulator per block size
+        gen = np.random.default_rng(rows)
+        monkeypatch.setattr(spectra, "SPIN_PRODUCT_ROWS", 7)
+        for n in (1, 5, 48, 64):
+            blocks = [np.where(gen.random((r, n)) < 0.5, 1, -1).astype(np.int8) for r in (rows, rows // 2 + 3)]
+            acc = CovarianceAccumulator(n)
+            total = np.zeros((n, n))
+            for b in blocks:
+                acc.add_spins(b)
+                total += b.astype(np.float64).T @ b.astype(np.float64)
+            assert np.array_equal(acc.total, total)
+            assert acc.count == sum(len(b) for b in blocks)
+
+    def test_an_unpatched_chunk_equals_the_float64_product(self):
+        # one float32 product of 100000 rows, far more than an accumulation block
+        gen = np.random.default_rng(7)
+        block = np.where(gen.random((100_000, 48)) < 0.7, 1, -1).astype(np.int8)
+        acc = CovarianceAccumulator(48)
+        acc.add_spins(block)
+        wide = block.astype(np.float64)
+        assert np.array_equal(acc.total, wide.T @ wide)
 
 
 class TestEigenAndNorm:

@@ -8,8 +8,10 @@ tree must take chain starts as bits: ``iter_chain`` with Y_1 as an int and
 points take start objects instead, is timed with its own copy of this
 script. Each chain case streams a chain of the case's number of states
 through ``iter_chain`` from a fixed start ``REPEATS`` times; the time of a
-run divided by its steps is one sample. The rings past 64 sites check that
-the block loops, whose masks grow with n, do not lose to the parent there.
+run divided by its steps is one sample. The rings of 63, 64 and 65 sites
+show the cost on either side of n = 64, where Wolff chains leave the wall
+loop for the int loop. The rings past 64 sites check that the block loops,
+whose masks grow with n, do not lose to the parent there.
 The hitting case runs ``hitting_time_aligned`` from the ``HITTING_STARTS``
 starts that ``isingring hitting --seed 0`` draws, start k on the generator
 of stream k + 1 as that command takes it (from ``keyed_generators`` in
@@ -33,6 +35,9 @@ CASES = [
     ("wolff-n24-j0.5", "wolff", 24, 0.5, 100_000),
     ("wolff-n32-j0.5", "wolff", 32, 0.5, 100_000),
     ("wolff-n48-j0.5", "wolff", 48, 0.5, 100_000),
+    ("wolff-n63-j0.5", "wolff", 63, 0.5, 100_000),
+    ("wolff-n64-j0.5", "wolff", 64, 0.5, 100_000),
+    ("wolff-n65-j0.5", "wolff", 65, 0.5, 100_000),
     ("wolff-n32-inf", "wolff", 32, "inf", 100_000),
     ("wolff-n300-j0.5", "wolff", 300, 0.5, 50_000),
     ("wolff-n1000-j0.5", "wolff", 1000, 0.5, 50_000),
